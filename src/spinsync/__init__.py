@@ -22,6 +22,7 @@ from .first_order import (
     first_order_state,
     negativity_first_order,
     s_rel_first_order,
+    s_rel_peak_first_order,
 )
 from .liouvillian import (
     IntegrationStepError,
@@ -89,6 +90,7 @@ __all__ = [
     "run_steady_point",
     "s_rel",
     "s_rel_first_order",
+    "s_rel_peak_first_order",
     "schmidt_analysis",
     "steady_state",
     "von_neumann_entropy",

@@ -69,6 +69,12 @@ def s_rel_first_order(
     return SREL_COEFF * params.epsilon * np.real(np.exp(1j * phi) * amplitude)
 
 
+def s_rel_peak_first_order(params: SystemParams, t: float | None = STEADY) -> float:
+    """First-order peak over phi, SREL_COEFF*epsilon*|mu_plus + conj(mu_minus)|."""
+    mu = coherences(params, t)
+    return float(SREL_COEFF * params.epsilon * abs(mu.mu_plus + np.conj(mu.mu_minus)))
+
+
 def negativity_first_order(params: SystemParams, t: float | None = STEADY) -> float:
     """First-order negativity epsilon*(|mu_plus| + |mu_minus|)."""
     mu = coherences(params, t)

@@ -14,8 +14,9 @@ The generator is linear in the seven parameters and is assembled from seven
 basis superoperators built once.  Every term conserves the total excitation
 m_A + m_B on each side of rho, so the generator is block-diagonal in the
 excitation difference k between the row and the column of rho (nine sectors,
-k = -4..4).  The steady state is solved in the 19-dimensional k = 0 sector,
-and its uniqueness is checked from the singular values of the nine blocks.
+k = -4..4).  The steady state is one square solve of the 19-dimensional
+k = 0 block, its redundant first population row replaced by the trace row;
+its uniqueness is checked from the singular values of the nine blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .operators import (
     M_VALUES,
     LinearSolveError,
     embed,
-    solve_linear,
     spin1_operators,
     validate_density_matrix,
 )
@@ -173,8 +173,10 @@ def steady_state(
     values are those of the nine diagonal blocks.  The kernel is verified
     one-dimensional through the two smallest of them before trusting the
     solution.  The state is then solved in the 19-dimensional k = 0 sector
-    as an augmented least-squares system: the block's rows plus the trace
-    row, right-hand side (0, ..., 0, 1); every other sector of rho is zero.
+    as one square system: the block with its first, redundant population
+    row replaced by the trace row, right-hand side (1, 0, ..., 0); every
+    other sector of rho is zero.  The residual is checked against all 19
+    rows of the block.
     """
     gen = build_generator(params)
     gen_scale = float(np.max(np.abs(gen)))
@@ -189,11 +191,15 @@ def steady_state(
             f"{singular[0]:.3e}, {singular[1]:.3e} against scale {gen_scale:.3e}"
         )
 
+    # Trace preservation makes the nine population rows of the block sum to
+    # zero, so the first, <+1,+1|rho|+1,+1>, is redundant: the trace row
+    # takes its place and the sector system becomes square.
     sector, block = EXCITATION_SECTORS[0], blocks[0]
-    augmented = np.vstack([block, trace_row()[sector][None, :]])
-    rhs = np.zeros(len(sector) + 1, dtype=complex)
-    rhs[-1] = 1.0
-    x, _ = solve_linear(augmented, rhs)
+    square = block.copy()
+    square[0] = trace_row()[sector]
+    rhs = np.zeros(len(sector), dtype=complex)
+    rhs[0] = 1.0
+    x = np.linalg.solve(square, rhs)
 
     vec = np.zeros(gen.shape[0], dtype=complex)
     vec[sector] = x

@@ -9,7 +9,6 @@ are dense complex ndarrays in row-major layout.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 M_VALUES = (1, 0, -1)
 
@@ -22,7 +21,7 @@ class InvalidStateError(ValueError):
 
 
 class LinearSolveError(RuntimeError):
-    """Least-squares residual exceeded the requested tolerance."""
+    """The residual of a linear solve exceeded the accepted tolerance."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -109,28 +108,6 @@ def hermitian_eigenvalues(matrix: np.ndarray, herm_tol: float = 1e-8) -> np.ndar
     if dev > herm_tol:
         raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {dev:.3e}")
     return np.linalg.eigvalsh(matrix)
-
-
-def solve_linear(
-    matrix: np.ndarray,
-    rhs: np.ndarray,
-    residual_tol: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Least-squares solve of matrix @ x = rhs; returns (x, residual 2-norm).
-
-    With residual_tol set, a residual above it raises LinearSolveError (the
-    system is inconsistent or rank-deficient beyond what the caller accepts).
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    x, _, _, _ = scipy.linalg.lstsq(matrix, rhs, lapack_driver="gelsy")
-    residual = float(np.linalg.norm(matrix @ x - rhs))
-    if residual_tol is not None and residual > residual_tol:
-        raise LinearSolveError(
-            f"least-squares residual {residual:.3e} exceeds tolerance {residual_tol:.3e}",
-            residual,
-        )
-    return x, residual
 
 
 def validate_density_matrix(

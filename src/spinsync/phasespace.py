@@ -164,9 +164,23 @@ def p_single(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseD
     return PhaseDistribution(phis=out_phis, values=values)
 
 
+TIE_RTOL = 1e-12
+
+
 def max_s_rel(dist: PhaseDistribution) -> tuple[float, float]:
-    """Grid maximum of a phase distribution; ties go to the smallest phi."""
+    """Grid maximum of a phase distribution; ties go to the smallest phi.
+
+    Values within TIE_RTOL * max|values| of the maximum count as tied, so
+    peaks that are equal in exact arithmetic, such as the mirror pair
+    phi and 2 pi - phi of a symmetric profile, do not hinge on roundoff.
+    """
     if len(dist.values) == 0:
         raise ValueError("distribution is empty")
-    idx = int(np.argmax(dist.values))
-    return float(dist.phis[idx]), float(dist.values[idx])
+    values = dist.values
+    idx = int(np.argmax(values))
+    # The grid ascends, so the first tied node has the smallest phi; a NaN
+    # maximum ties with nothing and is returned as it stands.
+    tied = values >= values[idx] - TIE_RTOL * np.max(np.abs(values))
+    if tied.any():
+        idx = int(np.argmax(tied))
+    return float(dist.phis[idx]), float(values[idx])

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlations import mutual_information, negativity, purity, schmidt_analysis
-from .first_order import SREL_COEFF, STEADY, coherences
+from .first_order import negativity_first_order, s_rel_peak_first_order
 from .liouvillian import (
-    IntegrationStepError,
     NonUniqueSteadyStateError,
     SystemParams,
     evolve,
@@ -73,14 +72,6 @@ class DynamicsRow:
     trace_error: float
 
 
-def _oracle_peaks(params: SystemParams) -> tuple[float, float]:
-    mu = coherences(params, STEADY)
-    amp = abs(mu.mu_plus + np.conj(mu.mu_minus))
-    srel = SREL_COEFF * params.epsilon * amp
-    neg = params.epsilon * (abs(mu.mu_plus) + abs(mu.mu_minus))
-    return srel, neg
-
-
 def evaluate_point(
     params: SystemParams, quad: QuadratureSpec = QuadratureSpec()
 ) -> tuple[SweepRecord, np.ndarray | None]:
@@ -88,7 +79,8 @@ def evaluate_point(
     errors: list[str] = []
     s_rel_fo = negativity_fo = math.nan
     try:
-        s_rel_fo, negativity_fo = _oracle_peaks(params)
+        s_rel_fo = s_rel_peak_first_order(params)
+        negativity_fo = negativity_first_order(params)
     except ValueError as exc:
         errors.append(f"oracle: {exc}")
 
@@ -218,13 +210,11 @@ def dynamics_trace(
     traj = evolve(params, rho0, t_max, dt=dt, samples=samples)
     rows = []
     for t, state, drift in zip(traj.times, traj.states, traj.trace_errors):
-        mu = coherences(params, float(t))
-        oracle = SREL_COEFF * params.epsilon * abs(mu.mu_plus + np.conj(mu.mu_minus))
         rows.append(
             DynamicsRow(
                 t=float(t),
                 s_rel_peak=max_s_rel(s_rel(state, quad))[1],
-                s_rel_peak_oracle=float(oracle),
+                s_rel_peak_oracle=s_rel_peak_first_order(params, float(t)),
                 negativity=negativity(state),
                 trace_error=float(drift),
             )

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinsync
 from spinsync import negativity
 from spinsync.cli import main
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER
@@ -116,6 +119,29 @@ class TestArgumentErrors:
         )
         assert proc.returncode == 0
         assert "spinsync" in proc.stdout
+
+
+def test_runs_on_numpy_alone(tmp_path):
+    # scipy is a test dependency only; importing scipy.linalg costs about
+    # 0.3 s of every command's start-up on a 2-core Xeon VM.
+    config = write_json(tmp_path, FIG2_CONFIG)
+    script = (
+        "import sys\n"
+        "from spinsync.cli import main\n"
+        f"assert main(['steady', '--config', {config!r}, '--out', 'state.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    package_root = Path(spinsync.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "state.json").exists()
 
 
 class TestSweepCommands:

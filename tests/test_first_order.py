@@ -16,6 +16,7 @@ from spinsync import (
     negativity,
     negativity_first_order,
     s_rel_first_order,
+    s_rel_peak_first_order,
 )
 from spinsync.first_order import SREL_COEFF
 from spinsync.operators import joint_index
@@ -141,6 +142,15 @@ class TestSRelFirstOrder:
                     * np.cos(phi - 0.6 * t)
                 )
                 assert derivative == pytest.approx(expected, abs=1e-12)
+
+
+class TestSRelPeakFirstOrder:
+    @pytest.mark.parametrize("t", [STEADY, 0.0, 0.7, 3.0])
+    def test_is_the_maximum_over_phi(self, t):
+        phis = np.linspace(0.0, 2.0 * np.pi, 4097)
+        values = [s_rel_first_order(DETUNED, p, t) for p in phis]
+        assert s_rel_peak_first_order(DETUNED, t) == pytest.approx(max(values), rel=1e-6)
+        assert s_rel_peak_first_order(DETUNED, t) >= max(values) - 1e-15
 
 
 class TestNegativityFirstOrder:

@@ -75,6 +75,20 @@ def dense_steady_state(params: SystemParams) -> np.ndarray | None:
     return rho / np.trace(rho).real
 
 
+def wide_range_params(rng: np.random.Generator) -> SystemParams:
+    rates = {name: float(10.0 ** rng.uniform(-3.0, 3.0))
+             for name in ("gamma_g_a", "gamma_g_b", "gamma_d_b")}
+    if rng.random() < 0.1:
+        rates[str(rng.choice(sorted(rates)))] = 0.0
+    return SystemParams(
+        gamma_d_a=1.0,
+        **rates,
+        epsilon=float(rng.uniform(0.0, 0.3)),
+        delta=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0)),
+        omega_ref=float(rng.uniform(-1e3, 1e3)),
+    )
+
+
 def excitation_difference(index: int) -> int:
     # vec index 9 r + c holds rho[r, c]; joint index 3 a + b holds
     # |M_VALUES[a], M_VALUES[b]>.
@@ -224,6 +238,28 @@ class TestDenseOracle:
         assert dense_steady_state(params) is None
         with pytest.raises(NonUniqueSteadyStateError):
             steady_state(params)
+
+    def test_wide_range_draws_match_dense_solve(self):
+        # Drawn like the wide-range single-point benchmark: rates from 1e-3
+        # to 1e3 with one of them zero in a tenth of the points, |delta| up
+        # to 1e6, omega_ref up to 1e3.  States agree to within the
+        # conditioning of the square k = 0 system that is solved.
+        rng = np.random.default_rng(20121)
+        sector = EXCITATION_SECTORS[0]
+        refused = 0
+        for _ in range(300):
+            params = wide_range_params(rng)
+            reference = dense_steady_state(params)
+            if reference is None:
+                refused += 1
+                with pytest.raises(NonUniqueSteadyStateError):
+                    steady_state(params)
+                continue
+            square = build_generator(params)[np.ix_(sector, sector)]
+            square[0] = trace_row()[sector]
+            bound = 1e-10 + 1e-14 * np.linalg.cond(square)
+            assert np.max(np.abs(steady_state(params) - reference)) <= bound, params
+        assert 0 < refused < 300
 
 
 class TestEvolve:

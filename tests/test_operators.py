@@ -8,7 +8,6 @@ from spinsync.operators import (
     PAIR_DIM,
     SINGLE_DIM,
     InvalidStateError,
-    LinearSolveError,
     dissipator,
     embed,
     hermitian_eigenvalues,
@@ -16,7 +15,6 @@ from spinsync.operators import (
     joint_index,
     partial_trace,
     partial_transpose,
-    solve_linear,
     spin1_operators,
     validate_density_matrix,
 )
@@ -229,34 +227,6 @@ class TestHermitianEigenvalues:
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
             hermitian_eigenvalues(m)
-
-
-class TestSolveLinear:
-    def test_identity_system(self):
-        rhs = np.arange(4.0) + 0j
-        x, residual = solve_linear(np.eye(4, dtype=complex), rhs)
-        assert_allclose(x, rhs, atol=1e-14)
-        assert residual <= 1e-13
-
-    def test_diagonal_system(self):
-        x, _ = solve_linear(np.diag([2.0, 4.0]).astype(complex), np.array([2.0, 2.0], dtype=complex))
-        assert_allclose(x, [1.0, 0.5], atol=1e-14)
-
-    def test_recovers_random_solution(self):
-        rng = np.random.default_rng(17)
-        m = np.eye(81) + 0.1 * (rng.normal(size=(81, 81)) + 1j * rng.normal(size=(81, 81)))
-        x_true = rng.normal(size=81) + 1j * rng.normal(size=81)
-        x, residual = solve_linear(m, m @ x_true)
-        assert np.max(np.abs(x - x_true)) / np.max(np.abs(x_true)) <= 1e-10
-        assert residual <= 1e-10 * np.max(np.abs(m @ x_true))
-
-    def test_residual_tolerance_enforced(self):
-        # overdetermined inconsistent system cannot meet a tight residual bound
-        m = np.array([[1.0], [1.0]], dtype=complex)
-        rhs = np.array([0.0, 1.0], dtype=complex)
-        with pytest.raises(LinearSolveError) as info:
-            solve_linear(m, rhs, residual_tol=1e-12)
-        assert info.value.residual > 1e-12
 
 
 class TestValidateDensityMatrix:

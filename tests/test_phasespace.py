@@ -262,6 +262,18 @@ class TestMaxSRel:
         assert phi == pytest.approx(phis[16], abs=1e-14)
         assert value == pytest.approx(0.1, abs=1e-14)
 
+    def test_mirrored_peaks_tie_to_smaller_phi(self):
+        # A profile symmetric under phi -> 2 pi - phi has equal peaks at
+        # phis[7] and phis[57]; roundoff that lifts the later one by an ulp
+        # must not move the reported phase.
+        phis = 2.0 * np.pi * np.arange(64) / 64.0
+        values = np.exp(8.0 * np.cos(phis - phis[7])) + np.exp(8.0 * np.cos(phis + phis[7]))
+        values[57] = np.nextafter(values[7], np.inf)
+        phi, value = max_s_rel(PhaseDistribution(phis, values))
+        assert int(np.argmax(values)) == 57
+        assert phi == phis[7]
+        assert value == values[7]
+
     def test_empty_distribution_raises(self):
         with pytest.raises(ValueError):
             max_s_rel(PhaseDistribution(np.array([]), np.array([])))
