@@ -23,7 +23,6 @@ def main() -> int:
     parser.add_argument("--out", default="arnold_tongue.csv")
     parser.add_argument("--eps-steps", type=int, default=101)
     parser.add_argument("--delta-steps", type=int, default=101)
-    parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args()
 
     params, quad = load_config(args.config)
@@ -32,7 +31,6 @@ def main() -> int:
         params,
         steps=(args.eps_steps, args.delta_steps),
         quad=quad,
-        jobs=args.jobs,
     )
     elapsed = time.perf_counter() - start
     write_sweep_csv(records, args.out)

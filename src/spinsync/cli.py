@@ -54,6 +54,8 @@ def load_config(path: str) -> tuple[SystemParams, QuadratureSpec]:
     for key, value in raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key} must be a number, got {value!r}")
+        if key in QUAD_KEYS and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config key {key} must be an integer, got {value!r}")
     try:
         params = SystemParams(
             **{k: float(raw[k]) for k in PARAM_KEYS if k in raw}
@@ -85,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--delta-max", type=float, default=1.0)
     sweep.add_argument("--delta-steps", type=int, default=101)
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--jobs", type=int, default=None)
+    sweep.add_argument("--jobs", type=int, default=None,
+                       help="deprecated and ignored")
 
     scan = sub.add_parser("scan-balanced", help="scan spin-B damping on a cut")
     scan.add_argument("--config", required=True)
@@ -127,6 +130,8 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs is not None:
+        print("warning: --jobs is deprecated and ignored", file=sys.stderr)
     params, quad = load_config(args.config)
     records = arnold_sweep(
         params,
@@ -134,7 +139,6 @@ def _cmd_sweep(args) -> int:
         delta_range=(args.delta_min, args.delta_max),
         steps=(args.eps_steps, args.delta_steps),
         quad=quad,
-        jobs=args.jobs,
     )
     write_sweep_csv(records, args.out)
     return 0

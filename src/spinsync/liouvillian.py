@@ -17,10 +17,13 @@ excitation difference k between the row and the column of rho (nine sectors,
 k = -4..4).  The steady state is one square solve of the 19-dimensional
 k = 0 block, its redundant first population row replaced by the trace row;
 its uniqueness is checked from the singular values of the nine blocks.
+steady_states solves a stack of points with stacked LAPACK calls, and
+steady_state is that solve for a stack of one point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from .operators import (
     M_VALUES,
     LinearSolveError,
+    density_matrix_errors,
     embed,
     spin1_operators,
     validate_density_matrix,
@@ -125,6 +129,23 @@ def _basis_superoperators() -> np.ndarray:
 _BASIS = _basis_superoperators()
 
 
+def _weights(params: SystemParams) -> tuple[float, ...]:
+    return (
+        params.gamma_g_a, params.gamma_d_a, params.gamma_g_b, params.gamma_d_b,
+        params.epsilon, params.delta, params.omega_ref,
+    )
+
+
+def _combine(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # sum_j weights[..., j] * basis[j] for a flattened basis (7, n),
+    # accumulated in field order and elementwise, so a stack of points gets
+    # the same bits as one point.
+    out = weights[..., 0, None] * basis[0]
+    for j in range(1, len(basis)):
+        out += weights[..., j, None] * basis[j]
+    return out
+
+
 def build_generator(params: SystemParams) -> np.ndarray:
     """Assemble the 81x81 matrix L with vec(rho_dot) = L @ vec(rho).
 
@@ -132,14 +153,7 @@ def build_generator(params: SystemParams) -> np.ndarray:
     fixed basis superoperators built once at import, weighted by the fields
     of params in order.
     """
-    weights = (
-        params.gamma_g_a, params.gamma_d_a, params.gamma_g_b, params.gamma_d_b,
-        params.epsilon, params.delta, params.omega_ref,
-    )
-    gen = weights[0] * _BASIS[0]
-    for weight, basis in zip(weights[1:], _BASIS[1:]):
-        gen += weight * basis
-    return gen
+    return _combine(np.array(_weights(params)), _BASIS.reshape(7, -1)).reshape(81, 81)
 
 
 def _excitation_sectors() -> tuple[np.ndarray, ...]:
@@ -161,7 +175,116 @@ entries with different k: it is block-diagonal over these sectors, of sizes
 lives in k = 0.
 """
 
+# The seven basis superoperators restricted to the nine sector blocks, all
+# flattened side by side, so one combination assembles every block.
+_SECTOR_BASIS = np.concatenate(
+    [_BASIS[:, sector][:, :, sector].reshape(7, -1) for sector in EXCITATION_SECTORS],
+    axis=1,
+)
+_SECTOR_OFFSETS = np.cumsum([0] + [len(sector) ** 2 for sector in EXCITATION_SECTORS])
+
 KERNEL_RATIO_THRESHOLD = 1e-8
+
+
+@dataclass(frozen=True)
+class SteadyStates:
+    """Steady states of a stack of points, in input order.
+
+    errors[i] is None when states[i] is the unique steady state with
+    residual residuals[i]; otherwise it is the exception steady_state
+    raises for that point, states[i] is zero and residuals[i] is nan.
+    """
+
+    states: np.ndarray = field(repr=False)
+    residuals: np.ndarray
+    errors: tuple[Exception | None, ...]
+
+
+def steady_states(points: Sequence[SystemParams]) -> SteadyStates:
+    """Unique steady states of a stack of points, solved together.
+
+    Every point gets the same result, bit for bit, as it gets alone; a point
+    that is refused or fails does not affect the others.  LAPACK fails a
+    whole stack when one member fails (a singular matrix, say), so such a
+    stack is solved again in halves until the failure is pinned on its
+    point.  See steady_state for the method.
+    """
+    try:
+        return _solve_stack(points)
+    except np.linalg.LinAlgError as exc:
+        if len(points) == 1:
+            return SteadyStates(np.zeros((1, 9, 9), dtype=complex),
+                                np.full(1, np.nan), (exc,))
+        halves = [steady_states(points[:len(points) // 2]),
+                  steady_states(points[len(points) // 2:])]
+        return SteadyStates(
+            np.concatenate([h.states for h in halves]),
+            np.concatenate([h.residuals for h in halves]),
+            halves[0].errors + halves[1].errors,
+        )
+
+
+def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
+    weights = np.array([_weights(p) for p in points], dtype=float)
+    flat = _combine(weights, _SECTOR_BASIS)
+    blocks = [
+        flat[:, start:stop].reshape(-1, len(sector), len(sector))
+        for sector, start, stop in zip(EXCITATION_SECTORS, _SECTOR_OFFSETS,
+                                       _SECTOR_OFFSETS[1:])
+    ]
+    # Entries outside the blocks are exactly zero, so the block entries give
+    # max|L| of each point.
+    gen_scale = np.max(np.abs(flat), axis=-1)
+    singular = np.sort(np.concatenate(
+        [np.linalg.svd(b, compute_uv=False) for b in blocks], axis=-1
+    ), axis=-1)
+
+    refused = singular[:, 1] < KERNEL_RATIO_THRESHOLD * gen_scale
+    errors: list[Exception | None] = [None] * len(points)
+    for i in np.flatnonzero(refused):
+        errors[i] = NonUniqueSteadyStateError(
+            "steady state is not unique: two smallest singular values "
+            f"{singular[i, 0]:.3e}, {singular[i, 1]:.3e} against scale "
+            f"{gen_scale[i]:.3e}"
+        )
+    unique = ~refused
+
+    # Trace preservation makes the nine population rows of the k = 0 block
+    # sum to zero, so the first, <+1,+1|rho|+1,+1>, is redundant: the trace
+    # row takes its place and the sector system becomes square.
+    sector, block = EXCITATION_SECTORS[0], blocks[0][unique]
+    square = block.copy()
+    square[:, 0] = trace_row()[sector]
+    rhs = np.zeros((len(square), len(sector), 1), dtype=complex)
+    rhs[:, 0] = 1.0
+    x = np.linalg.solve(square, rhs)[..., 0]
+
+    vec = np.zeros((len(square), 81), dtype=complex)
+    vec[:, sector] = x
+    rho = vec.reshape(-1, 9, 9)
+    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+    residual = np.linalg.norm(
+        (block @ rho.reshape(-1, 81)[:, sector, None])[..., 0], axis=-1
+    )
+    tol = 1e-10 * (1.0 + gen_scale[unique])
+    invalid = density_matrix_errors(rho)
+    for j, i in enumerate(np.flatnonzero(unique)):
+        if residual[j] > tol[j]:
+            errors[i] = LinearSolveError(
+                f"steady-state residual {residual[j]:.3e} exceeds {tol[j]:.3e}",
+                float(residual[j]),
+            )
+        elif invalid[j] is not None:
+            errors[i] = invalid[j]
+
+    solved = np.array([e is None for e in errors], dtype=bool)
+    states = np.zeros((len(points), 9, 9), dtype=complex)
+    states[solved] = rho[solved[unique]]
+    residuals = np.full(len(points), np.nan)
+    residuals[solved] = residual[solved[unique]]
+    return SteadyStates(states, residuals, tuple(errors))
 
 
 def steady_state(
@@ -170,52 +293,21 @@ def steady_state(
     """Unique steady state of the generator, as a valid 9x9 density matrix.
 
     The generator is block-diagonal over EXCITATION_SECTORS, so its singular
-    values are those of the nine diagonal blocks.  The kernel is verified
+    values are those of the nine diagonal blocks, each assembled directly
+    from the basis restricted to its sector.  The kernel is verified
     one-dimensional through the two smallest of them before trusting the
     solution.  The state is then solved in the 19-dimensional k = 0 sector
     as one square system: the block with its first, redundant population
     row replaced by the trace row, right-hand side (1, 0, ..., 0); every
     other sector of rho is zero.  The residual is checked against all 19
-    rows of the block.
+    rows of the block.  This is steady_states on a stack of one point.
     """
-    gen = build_generator(params)
-    gen_scale = float(np.max(np.abs(gen)))
-
-    blocks = [gen[np.ix_(sector, sector)] for sector in EXCITATION_SECTORS]
-    singular = np.sort(np.concatenate(
-        [np.linalg.svd(block, compute_uv=False) for block in blocks]
-    ))
-    if singular[1] < KERNEL_RATIO_THRESHOLD * gen_scale:
-        raise NonUniqueSteadyStateError(
-            "steady state is not unique: two smallest singular values "
-            f"{singular[0]:.3e}, {singular[1]:.3e} against scale {gen_scale:.3e}"
-        )
-
-    # Trace preservation makes the nine population rows of the block sum to
-    # zero, so the first, <+1,+1|rho|+1,+1>, is redundant: the trace row
-    # takes its place and the sector system becomes square.
-    sector, block = EXCITATION_SECTORS[0], blocks[0]
-    square = block.copy()
-    square[0] = trace_row()[sector]
-    rhs = np.zeros(len(sector), dtype=complex)
-    rhs[0] = 1.0
-    x = np.linalg.solve(square, rhs)
-
-    vec = np.zeros(gen.shape[0], dtype=complex)
-    vec[sector] = x
-    rho = vec.reshape(9, 9)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-
-    residual = float(np.linalg.norm(block @ rho.reshape(-1)[sector]))
-    tol = 1e-10 * (1.0 + gen_scale)
-    if residual > tol:
-        raise LinearSolveError(
-            f"steady-state residual {residual:.3e} exceeds {tol:.3e}", residual
-        )
-    validate_density_matrix(rho)
+    batch = steady_states([params])
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    rho = batch.states[0]
     if return_residual:
-        return rho, residual
+        return rho, float(batch.residuals[0])
     return rho
 
 

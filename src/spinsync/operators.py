@@ -76,38 +76,80 @@ def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced 3x3 state of the kept spin ('A' or 'B')."""
+    """Reduced 3x3 state of the kept spin ('A' or 'B').
+
+    rho may also be a stack (..., 9, 9); the result is then (..., 3, 3).
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (9, 9):
-        raise ValueError(f"expected a 9x9 matrix, got shape {rho.shape}")
-    r = rho.reshape(3, 3, 3, 3)
+    r = _split_pair(rho)
     if keep == "A":
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == "B":
-        return np.einsum("abad->bd", r)
+        return np.einsum("...abad->...bd", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_transpose(rho: np.ndarray, site: str = "A") -> np.ndarray:
-    """Transpose the indices of one spin: ((a,b),(a',b')) -> ((a',b),(a,b'))."""
+    """Transpose the indices of one spin: ((a,b),(a',b')) -> ((a',b),(a,b')).
+
+    rho may also be a stack (..., 9, 9), transposed state by state.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (9, 9):
-        raise ValueError(f"expected a 9x9 matrix, got shape {rho.shape}")
-    r = rho.reshape(3, 3, 3, 3)
+    r = _split_pair(rho)
     if site == "A":
-        return r.transpose(2, 1, 0, 3).reshape(9, 9)
+        return np.swapaxes(r, -4, -2).reshape(rho.shape)
     if site == "B":
-        return r.transpose(0, 3, 2, 1).reshape(9, 9)
+        return np.swapaxes(r, -3, -1).reshape(rho.shape)
     raise ValueError(f"site must be 'A' or 'B', got {site!r}")
 
 
+def _split_pair(rho: np.ndarray) -> np.ndarray:
+    # (..., 9, 9) -> (..., a, b, a', b') with a, a' on spin A.
+    if rho.shape[-2:] != (PAIR_DIM, PAIR_DIM):
+        raise ValueError(f"expected a 9x9 matrix, got shape {rho.shape}")
+    return rho.reshape(rho.shape[:-2] + (SINGLE_DIM,) * 4)
+
+
 def hermitian_eigenvalues(matrix: np.ndarray, herm_tol: float = 1e-8) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
+    """Real eigenvalues of a Hermitian matrix, ascending.
+
+    matrix may also be a stack (..., n, n); every member must be Hermitian.
+    """
     matrix = np.asarray(matrix, dtype=complex)
-    dev = np.max(np.abs(matrix - matrix.conj().T))
+    dev = np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()), initial=0.0)
     if dev > herm_tol:
         raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {dev:.3e}")
     return np.linalg.eigvalsh(matrix)
+
+
+def density_matrix_errors(
+    rhos: np.ndarray,
+    herm_tol: float = 1e-10,
+    trace_tol: float = 1e-10,
+    psd_tol: float = 1e-10,
+) -> list[InvalidStateError | None]:
+    """The first violated density-matrix invariant of each matrix in a stack.
+
+    rhos is (m, n, n); entry i is None when rhos[i] is Hermitian, unit-trace
+    and PSD, else the InvalidStateError that validate_density_matrix raises.
+    """
+    dev = np.max(np.abs(rhos - np.swapaxes(rhos, -1, -2).conj()), axis=(-2, -1))
+    traces = np.trace(rhos, axis1=-2, axis2=-1)
+    lowest = np.linalg.eigvalsh(rhos)[:, 0]
+    errors: list[InvalidStateError | None] = []
+    for d, tr, lo in zip(dev, traces, lowest):
+        if d > herm_tol:
+            errors.append(InvalidStateError(
+                f"not Hermitian: max|rho - rho^dag| = {d:.3e}"))
+        elif abs(tr - 1.0) > trace_tol:
+            errors.append(InvalidStateError(
+                f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}"))
+        elif lo < -psd_tol:
+            errors.append(InvalidStateError(
+                f"not positive semidefinite: min eigenvalue {lo:.3e}"))
+        else:
+            errors.append(None)
+    return errors
 
 
 def validate_density_matrix(
@@ -120,12 +162,6 @@ def validate_density_matrix(
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"not a square matrix: shape {rho.shape}")
-    dev = np.max(np.abs(rho - rho.conj().T))
-    if dev > herm_tol:
-        raise InvalidStateError(f"not Hermitian: max|rho - rho^dag| = {dev:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise InvalidStateError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -psd_tol:
-        raise InvalidStateError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+    error = density_matrix_errors(rho[None], herm_tol, trace_tol, psd_tol)[0]
+    if error is not None:
+        raise error

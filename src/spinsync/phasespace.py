@@ -49,7 +49,10 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """Density offset values on a uniform phase grid over [0, 2 pi)."""
+    """Density offset values on a uniform phase grid over [0, 2 pi).
+
+    values has the grid as its last axis, after any stack axes.
+    """
 
     phis: np.ndarray
     values: np.ndarray
@@ -134,20 +137,22 @@ def s_rel(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDist
     For each output phi, integrates the joint Q at angles
     (phi_A, phi_B) = (phi + phi_B, phi_B) over theta_A, theta_B, phi_B and
     subtracts 1/(2 pi).  Requires Hermitian input but not positivity, so
-    synthetic first-order states can be probed directly.
+    synthetic first-order states can be probed directly.  rho may also be a
+    stack (..., 9, 9); the values are then (..., n_phi_out).
     """
-    _check_square(rho, PAIR_DIM)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+    if rho.shape[-2:] != (PAIR_DIM, PAIR_DIM):
+        raise ValueError(f"expected a 9x9 matrix, got shape {rho.shape}")
+    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0) > 1e-8:
         raise ValueError("state must be Hermitian")
     theta_overlap, common_phase, out_phis, out_phase = _quadrature_tables(quad)
 
-    r4 = rho.reshape(SINGLE_DIM, SINGLE_DIM, SINGLE_DIM, SINGLE_DIM)
+    r4 = rho.reshape(rho.shape[:-2] + (SINGLE_DIM,) * 4)
     # Sum theta_A, theta_B, phi_B node contributions for each output phi; the
     # A-side factor splits as e^{i(c-a)(phi + phi_B)}, handled by out_phase.
-    site_summed = np.einsum("ac,bd,acbd,abcd->ac", theta_overlap, theta_overlap,
-                            common_phase, r4)
+    site_summed = np.einsum("ac,bd,acbd,...abcd->...ac", theta_overlap,
+                            theta_overlap, common_phase, r4)
     values = HUSIMI_NORM**2 * np.real(
-        np.einsum("pac,ac->p", out_phase, site_summed)
+        np.einsum("pac,...ac->...p", out_phase, site_summed)
     ) - 1.0 / (2.0 * np.pi)
     return PhaseDistribution(phis=out_phis, values=values)
 
@@ -167,6 +172,22 @@ def p_single(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseD
 TIE_RTOL = 1e-12
 
 
+def max_s_rel_stack(dist: PhaseDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Grid maximum of each profile in dist.values (..., n); see max_s_rel."""
+    if dist.values.shape[-1] == 0:
+        raise ValueError("distribution is empty")
+    values = dist.values.reshape(-1, dist.values.shape[-1])
+    rows = np.arange(len(values))
+    idx = np.argmax(values, axis=-1)
+    # The grid ascends, so the first tied node has the smallest phi; a NaN
+    # maximum ties with nothing and is returned as it stands.
+    floor = values[rows, idx] - TIE_RTOL * np.max(np.abs(values), axis=-1)
+    tied = values >= floor[:, None]
+    idx = np.where(tied.any(axis=-1), tied.argmax(axis=-1), idx)
+    shape = dist.values.shape[:-1]
+    return dist.phis[idx].reshape(shape), values[rows, idx].reshape(shape)
+
+
 def max_s_rel(dist: PhaseDistribution) -> tuple[float, float]:
     """Grid maximum of a phase distribution; ties go to the smallest phi.
 
@@ -174,13 +195,5 @@ def max_s_rel(dist: PhaseDistribution) -> tuple[float, float]:
     peaks that are equal in exact arithmetic, such as the mirror pair
     phi and 2 pi - phi of a symmetric profile, do not hinge on roundoff.
     """
-    if len(dist.values) == 0:
-        raise ValueError("distribution is empty")
-    values = dist.values
-    idx = int(np.argmax(values))
-    # The grid ascends, so the first tied node has the smallest phi; a NaN
-    # maximum ties with nothing and is returned as it stands.
-    tied = values >= values[idx] - TIE_RTOL * np.max(np.abs(values))
-    if tied.any():
-        idx = int(np.argmax(tied))
-    return float(dist.phis[idx]), float(values[idx])
+    phi, peak = max_s_rel_stack(dist)
+    return float(phi), float(peak)

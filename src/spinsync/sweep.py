@@ -1,29 +1,32 @@
 """Batch evaluation of parameter points: sweeps, cuts, dynamics, CSV output.
 
-Grid points are independent; results are always emitted in deterministic
-grid order (epsilon-major for the tongue sweep), so CSV bodies are
-byte-identical regardless of the worker count.  A failing point is recorded
-in its row's status field and never aborts a sweep.
+Grid points are independent.  They are solved and measured together, in
+chunks of CHUNK_SIZE points: one stacked solve and one stacked call per
+measure for each chunk.  Every point gets the same bits whatever chunk it
+lands in, and results are always emitted in deterministic grid order
+(epsilon-major for the tongue sweep), so CSV bodies are byte-identical
+regardless of chunk size.  A failing point is recorded in its row's status
+field and never aborts a sweep or affects the other points.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlations import mutual_information, negativity, purity, schmidt_analysis
-from .first_order import negativity_first_order, s_rel_peak_first_order
-from .liouvillian import (
-    NonUniqueSteadyStateError,
-    SystemParams,
-    evolve,
-    steady_state,
+from .correlations import (
+    mutual_information_stack,
+    negativity_stack,
+    purity_stack,
+    schmidt_stack,
 )
-from .operators import InvalidStateError, LinearSolveError, joint_index
-from .phasespace import QuadratureSpec, max_s_rel, s_rel
+from .first_order import negativity_first_order, s_rel_peak_first_order
+from .liouvillian import SystemParams, evolve, steady_states
+from .operators import joint_index
+from .phasespace import QuadratureSpec, max_s_rel_stack, s_rel
 
 SWEEP_CSV_HEADER = (
     "epsilon,delta,max_s_rel,phi_at_max,negativity,mutual_info,purity,"
@@ -72,50 +75,68 @@ class DynamicsRow:
     trace_error: float
 
 
+# Points solved and measured together.  Larger chunks save little more
+# per-call overhead and hold more memory at once.
+CHUNK_SIZE = 32
+
+# SweepRecord fields measured on a solved state, nan when it is refused.
+_MEASURED = ("max_s_rel", "phi_at_max", "negativity", "mutual_info", "purity",
+             "residual")
+
+
+def _evaluate_chunk(
+    points: list[SystemParams], quad: QuadratureSpec
+) -> tuple[list[SweepRecord], list[np.ndarray | None]]:
+    errors: list[list[str]] = [[] for _ in points]
+    oracle = np.full((len(points), 2), math.nan)
+    for i, params in enumerate(points):
+        try:
+            oracle[i, 0] = s_rel_peak_first_order(params)
+            oracle[i, 1] = negativity_first_order(params)
+        except ValueError as exc:
+            errors[i].append(f"oracle: {exc}")
+
+    batch = steady_states(points)
+    solved = np.array([e is None for e in batch.errors], dtype=bool)
+    for messages, error in zip(errors, batch.errors):
+        if error is not None:
+            messages.append(f"solve: {error}")
+    # Measures are taken on the solved states only.  These passed the
+    # density-matrix checks and are exactly Hermitian, so none of the checks
+    # inside the measures can fail for one state of the stack.
+    rhos = batch.states[solved]
+    phi_at_max, peak = max_s_rel_stack(s_rel(rhos, quad))
+    columns = np.full((len(_MEASURED), len(points)), math.nan)
+    columns[:, solved] = (
+        peak, phi_at_max, negativity_stack(rhos), mutual_information_stack(rhos),
+        purity_stack(rhos), batch.residuals[solved],
+    )
+    ranks = np.zeros(len(points), dtype=int)
+    ranks[solved] = schmidt_stack(rhos)[1]
+
+    records = [
+        SweepRecord(
+            epsilon=params.epsilon,
+            delta=params.delta,
+            schmidt_rank=rank,
+            s_rel_fo=fo[0],
+            negativity_fo=fo[1],
+            status="; ".join(messages) or "ok",
+            **dict(zip(_MEASURED, values)),
+        )
+        for params, values, rank, fo, messages in zip(
+            points, columns.T.tolist(), ranks.tolist(), oracle.tolist(), errors)
+    ]
+    states = [rho if ok else None for rho, ok in zip(batch.states, solved)]
+    return records, states
+
+
 def evaluate_point(
     params: SystemParams, quad: QuadratureSpec = QuadratureSpec()
 ) -> tuple[SweepRecord, np.ndarray | None]:
     """Solve one point and fill a record; also return the state if solvable."""
-    errors: list[str] = []
-    s_rel_fo = negativity_fo = math.nan
-    try:
-        s_rel_fo = s_rel_peak_first_order(params)
-        negativity_fo = negativity_first_order(params)
-    except ValueError as exc:
-        errors.append(f"oracle: {exc}")
-
-    rho = None
-    vals = dict.fromkeys(
-        ("max_s_rel", "phi_at_max", "negativity", "mutual_info", "purity",
-         "residual"), math.nan
-    )
-    rank = 0
-    try:
-        rho, residual = steady_state(params, return_residual=True)
-        phi_at_max, peak = max_s_rel(s_rel(rho, quad))
-        vals.update(
-            max_s_rel=peak,
-            phi_at_max=phi_at_max,
-            negativity=negativity(rho),
-            mutual_info=mutual_information(rho),
-            purity=purity(rho),
-            residual=residual,
-        )
-        rank = schmidt_analysis(rho).rank
-    except (NonUniqueSteadyStateError, LinearSolveError, InvalidStateError,
-            ValueError) as exc:
-        errors.append(f"solve: {exc}")
-
-    record = SweepRecord(
-        epsilon=params.epsilon,
-        delta=params.delta,
-        schmidt_rank=rank,
-        s_rel_fo=s_rel_fo,
-        negativity_fo=negativity_fo,
-        status="ok" if not errors else "; ".join(errors),
-        **vals,
-    )
-    return record, rho
+    records, states = _evaluate_chunk([params], quad)
+    return records[0], states[0]
 
 
 def run_steady_point(
@@ -138,7 +159,11 @@ def arnold_sweep(
     quad: QuadratureSpec = QuadratureSpec(),
     jobs: int | None = None,
 ) -> list[SweepRecord]:
-    """Evaluate the coupling-detuning grid in epsilon-major order."""
+    """Evaluate the coupling-detuning grid in epsilon-major order.
+
+    jobs is deprecated and ignored; passing it warns.
+    """
+    _warn_jobs(jobs)
     _validate_range("epsilon", *eps_range)
     _validate_range("delta", *delta_range)
     if steps[0] < 2 or steps[1] < 2:
@@ -148,7 +173,7 @@ def arnold_sweep(
         for eps in np.linspace(eps_range[0], eps_range[1], steps[0])
         for delta in np.linspace(delta_range[0], delta_range[1], steps[1])
     ]
-    return _run_points(points, quad, jobs)
+    return _run_points(points, quad)
 
 
 def balanced_cut_scan(
@@ -162,8 +187,9 @@ def balanced_cut_scan(
 
     Requires a base whose A rates and B gain are all equal (the balanced-A
     configuration) with no detuning; gamma_d_b runs log-spaced over the
-    ratio range.
+    ratio range.  jobs is deprecated and ignored; passing it warns.
     """
+    _warn_jobs(jobs)
     if not (base.gamma_g_a == base.gamma_d_a == base.gamma_g_b):
         raise ValueError("cut requires gamma_g_a = gamma_d_a = gamma_g_b")
     if base.delta != 0.0:
@@ -176,20 +202,22 @@ def balanced_cut_scan(
         replace(base, gamma_d_b=float(r))
         for r in np.geomspace(ratio_range[0], ratio_range[1], steps)
     ]
-    return _run_points(points, quad, jobs)
+    return _run_points(points, quad)
 
 
-def _run_points(
-    points: list[SystemParams], quad: QuadratureSpec, jobs: int | None
-) -> list[SweepRecord]:
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(points) // (8 * jobs))
-            return list(
-                pool.map(run_steady_point, points, [quad] * len(points),
-                         chunksize=chunk)
-            )
-    return [run_steady_point(p, quad) for p in points]
+def _warn_jobs(jobs: int | None) -> None:
+    if jobs is not None:
+        warnings.warn(
+            "jobs is deprecated and ignored: points are solved in stacked "
+            "chunks in one process", DeprecationWarning, stacklevel=3,
+        )
+
+
+def _run_points(points: list[SystemParams], quad: QuadratureSpec) -> list[SweepRecord]:
+    records = []
+    for start in range(0, len(points), CHUNK_SIZE):
+        records += _evaluate_chunk(points[start:start + CHUNK_SIZE], quad)[0]
+    return records
 
 
 def dynamics_trace(
@@ -208,18 +236,20 @@ def dynamics_trace(
     rho0 = np.zeros((9, 9), dtype=complex)
     rho0[joint_index(0, 0), joint_index(0, 0)] = 1.0
     traj = evolve(params, rho0, t_max, dt=dt, samples=samples)
-    rows = []
-    for t, state, drift in zip(traj.times, traj.states, traj.trace_errors):
-        rows.append(
-            DynamicsRow(
-                t=float(t),
-                s_rel_peak=max_s_rel(s_rel(state, quad))[1],
-                s_rel_peak_oracle=s_rel_peak_first_order(params, float(t)),
-                negativity=negativity(state),
-                trace_error=float(drift),
-            )
+    states = np.array(traj.states)
+    peaks = max_s_rel_stack(s_rel(states, quad))[1]
+    negativities = negativity_stack(states)
+    return [
+        DynamicsRow(
+            t=float(t),
+            s_rel_peak=float(peak),
+            s_rel_peak_oracle=s_rel_peak_first_order(params, float(t)),
+            negativity=float(neg),
+            trace_error=float(drift),
         )
-    return rows
+        for t, peak, neg, drift in zip(traj.times, peaks, negativities,
+                                       traj.trace_errors)
+    ]
 
 
 def linear_regression(xs, ys) -> RegressionResult:

@@ -91,6 +91,25 @@ class TestConfigHandling:
         cfg = write_json(tmp_path, dict(BALANCED_CONFIG, n_theta=7))
         assert main(["steady", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("text", ['{"n_theta": 32.7}', '{"n_phi_out": 2.5}'])
+    def test_fractional_node_count_is_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["steady", "--config", str(path)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"n_theta": 1e400}', '{"n_phi": NaN}'])
+    def test_non_finite_node_count_is_rejected(self, tmp_path, capsys, text):
+        # 1e400 parses as infinity; int() of it would raise OverflowError.
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["steady", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: config key n_")
+
+    def test_integral_float_node_count_is_accepted(self, tmp_path):
+        cfg = write_json(tmp_path, dict(BALANCED_CONFIG, n_theta=32.0, n_phi_out=64.0))
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0
+
 
 class TestArgumentErrors:
     def test_no_arguments(self):
@@ -163,6 +182,16 @@ class TestSweepCommands:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_jobs_option_is_deprecated(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, FIG2_CONFIG)
+        argv = ["sweep", "--config", cfg, "--eps-steps", "2", "--delta-steps", "2"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(argv + ["--out", str(b), "--jobs", "4"]) == 0
+        assert capsys.readouterr().err == "warning: --jobs is deprecated and ignored\n"
         assert a.read_bytes() == b.read_bytes()
 
     def test_sweep_rejects_bad_grid(self, tmp_path, capsys):

@@ -14,7 +14,14 @@ from spinsync import (
     steady_state,
     von_neumann_entropy,
 )
-from spinsync.correlations import PURITY_WARNING_THRESHOLD
+from spinsync.correlations import (
+    PURITY_WARNING_THRESHOLD,
+    mutual_information_stack,
+    negativity_stack,
+    purity_stack,
+    schmidt_stack,
+    von_neumann_entropy_stack,
+)
 from spinsync.operators import InvalidStateError, joint_index
 
 LN2 = np.log(2.0)
@@ -198,3 +205,21 @@ def test_entanglement_measures_agree_on_ordering(fig2_steady):
     balanced = steady_state(BALANCED)
     assert negativity(balanced) > negativity(fig2_steady)
     assert mutual_information(balanced) > mutual_information(fig2_steady)
+
+
+def test_stacked_measures_equal_single_state_calls():
+    # Pure states have exact zero eigenvalues, so the entropy sums run over
+    # rows of different lengths within one stack.
+    rng = np.random.default_rng(41)
+    states = np.array([random_density(rng, 9), bell_like(), tilted_pair(),
+                       pure_state((1.0, joint_index(0, 0))), random_density(rng, 9)])
+    pairs = [
+        (negativity_stack, negativity),
+        (von_neumann_entropy_stack, von_neumann_entropy),
+        (mutual_information_stack, mutual_information),
+        (purity_stack, purity),
+        (lambda rhos: schmidt_stack(rhos)[1], lambda rho: schmidt_analysis(rho).rank),
+    ]
+    for stacked, single in pairs:
+        assert stacked(states).tolist() == [single(rho) for rho in states]
+        assert stacked(states[1:3]).tolist() == [single(rho) for rho in states[1:3]]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,15 +8,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm, lstsq
 
-from conftest import FIG2, density_matrices, random_density, system_params
+from conftest import BALANCED, FIG2, density_matrices, random_density, system_params
 from spinsync import (
     IntegrationStepError,
     NonUniqueSteadyStateError,
+    QuadratureSpec,
     SystemParams,
+    arnold_sweep,
+    balanced_cut_scan,
     build_generator,
     evolve,
+    negativity_first_order,
+    s_rel_peak_first_order,
     steady_state,
 )
+from spinsync import sweep
 from spinsync.liouvillian import (
     EXCITATION_SECTORS,
     KERNEL_RATIO_THRESHOLD,
@@ -25,11 +32,15 @@ from spinsync.liouvillian import (
 from spinsync.operators import (
     M_VALUES,
     InvalidStateError,
+    LinearSolveError,
     dissipator,
     embed,
     joint_index,
+    partial_trace,
+    partial_transpose,
     spin1_operators,
 )
+from spinsync.phasespace import HUSIMI_NORM, TIE_RTOL, _quadrature_tables
 
 
 def both_zero_density() -> np.ndarray:
@@ -73,6 +84,129 @@ def dense_steady_state(params: SystemParams) -> np.ndarray | None:
     rho = vec.reshape(9, 9)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def per_point_steady_state(params: SystemParams) -> tuple[np.ndarray, float]:
+    """The steady state solved one point at a time, as before the stacked engine.
+
+    Nine block SVDs for uniqueness, one square 19x19 trace-row solve, the
+    residual over the block and the density-matrix checks, all on 2-d
+    arrays cut from the full generator.
+    """
+    gen = build_generator(params)
+    gen_scale = float(np.max(np.abs(gen)))
+    blocks = [gen[np.ix_(sector, sector)] for sector in EXCITATION_SECTORS]
+    singular = np.sort(np.concatenate(
+        [np.linalg.svd(block, compute_uv=False) for block in blocks]
+    ))
+    if singular[1] < KERNEL_RATIO_THRESHOLD * gen_scale:
+        raise NonUniqueSteadyStateError(
+            "steady state is not unique: two smallest singular values "
+            f"{singular[0]:.3e}, {singular[1]:.3e} against scale {gen_scale:.3e}"
+        )
+    sector, block = EXCITATION_SECTORS[0], blocks[0]
+    square = block.copy()
+    square[0] = trace_row()[sector]
+    rhs = np.zeros(len(sector), dtype=complex)
+    rhs[0] = 1.0
+    vec = np.zeros(81, dtype=complex)
+    vec[sector] = np.linalg.solve(square, rhs)
+    rho = vec.reshape(9, 9)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho).real
+    residual = float(np.linalg.norm(block @ rho.reshape(-1)[sector]))
+    tol = 1e-10 * (1.0 + gen_scale)
+    if residual > tol:
+        raise LinearSolveError(
+            f"steady-state residual {residual:.3e} exceeds {tol:.3e}", residual
+        )
+    dev = np.max(np.abs(rho - rho.conj().T))
+    if dev > 1e-10:
+        raise InvalidStateError(f"not Hermitian: max|rho - rho^dag| = {dev:.3e}")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > 1e-10:
+        raise InvalidStateError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
+    lo = float(np.linalg.eigvalsh(rho)[0])
+    if lo < -1e-10:
+        raise InvalidStateError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+    return rho, residual
+
+
+def per_point_entropy(rho: np.ndarray) -> float:
+    eig = np.linalg.eigvalsh(rho)
+    if eig[0] < -1e-8:
+        raise InvalidStateError(f"eigenvalue {eig[0]:.3e} below tolerance -1.0e-08")
+    p = np.clip(eig, 0.0, None)
+    nonzero = p[p > 0.0]
+    return float(-np.sum(nonzero * np.log(nonzero)))
+
+
+def per_point_measures(rho: np.ndarray, quad: QuadratureSpec) -> dict:
+    """Every measure of one state, each on 2-d arrays as before the stacked engine."""
+    theta_overlap, common_phase, out_phis, out_phase = _quadrature_tables(quad)
+    site_summed = np.einsum("ac,bd,acbd,abcd->ac", theta_overlap, theta_overlap,
+                            common_phase, rho.reshape(3, 3, 3, 3))
+    values = HUSIMI_NORM**2 * np.real(
+        np.einsum("pac,ac->p", out_phase, site_summed)
+    ) - 1.0 / (2.0 * np.pi)
+    idx = int(np.argmax(values))
+    tied = values >= values[idx] - TIE_RTOL * np.max(np.abs(values))
+    if tied.any():
+        idx = int(np.argmax(tied))
+    eig_pt = np.linalg.eigvalsh(partial_transpose(rho, "A"))
+    mutual = (per_point_entropy(partial_trace(rho, "A"))
+              + per_point_entropy(partial_trace(rho, "B")) - per_point_entropy(rho))
+    _, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    coeffs = np.linalg.svd(vecs[:, -1].reshape(3, 3), compute_uv=False)
+    return dict(
+        max_s_rel=float(values[idx]),
+        phi_at_max=float(out_phis[idx]),
+        negativity=max(0.0, 0.5 * (float(np.sum(np.abs(eig_pt))) - 1.0)),
+        mutual_info=max(0.0, mutual),
+        purity=float(np.trace(rho @ rho).real),
+        schmidt_rank=int(np.sum(coeffs > 1e-3 * coeffs[0])),
+    )
+
+
+def per_point_record(params: SystemParams, quad: QuadratureSpec = QuadratureSpec()):
+    """Sweep record of one point through the per-point path."""
+    errors = []
+    s_rel_fo = negativity_fo = math.nan
+    try:
+        s_rel_fo = s_rel_peak_first_order(params)
+        negativity_fo = negativity_first_order(params)
+    except ValueError as exc:
+        errors.append(f"oracle: {exc}")
+    vals = dict.fromkeys(("max_s_rel", "phi_at_max", "negativity", "mutual_info",
+                          "purity", "residual"), math.nan)
+    vals["schmidt_rank"] = 0
+    try:
+        rho, residual = per_point_steady_state(params)
+        vals.update(per_point_measures(rho, quad), residual=residual)
+    except (NonUniqueSteadyStateError, LinearSolveError, InvalidStateError,
+            ValueError) as exc:
+        errors.append(f"solve: {exc}")
+    return sweep.SweepRecord(
+        epsilon=params.epsilon, delta=params.delta, s_rel_fo=s_rel_fo,
+        negativity_fo=negativity_fo,
+        status="ok" if not errors else "; ".join(errors), **vals,
+    )
+
+
+def assert_records_match_per_point(records, points):
+    exact = ("status", "schmidt_rank", "s_rel_fo", "negativity_fo")
+    close = ("max_s_rel", "phi_at_max", "negativity", "mutual_info", "purity",
+             "residual")
+    assert len(records) == len(points)
+    for record, params in zip(records, points):
+        reference = per_point_record(params)
+        for name in exact:
+            got, want = getattr(record, name), getattr(reference, name)
+            assert got == want or (got != got and want != want), (name, params)
+        for name in close:
+            got, want = getattr(record, name), getattr(reference, name)
+            assert (math.isnan(got) and math.isnan(want)) or abs(got - want) <= 1e-12, (
+                name, params)
 
 
 def wide_range_params(rng: np.random.Generator) -> SystemParams:
@@ -260,6 +394,54 @@ class TestDenseOracle:
             bound = 1e-10 + 1e-14 * np.linalg.cond(square)
             assert np.max(np.abs(steady_state(params) - reference)) <= bound, params
         assert 0 < refused < 300
+
+
+class TestPerPointOracle:
+    """The stacked engine against the per-point path it replaced."""
+
+    def test_seeded_tongue(self):
+        rng = np.random.default_rng(601)
+        shift = float(rng.uniform(-0.5, 0.5)) * 0.2
+        base = dataclasses.replace(FIG2, omega_ref=float(rng.uniform(-1.0, 1.0)))
+        delta_range = (-1.0 + shift, 1.0 + shift)
+        records = arnold_sweep(base, eps_range=(0.0, 0.1), delta_range=delta_range,
+                               steps=(11, 11))
+        points = [dataclasses.replace(base, epsilon=float(e), delta=float(d))
+                  for e in np.linspace(0.0, 0.1, 11)
+                  for d in np.linspace(*delta_range, 11)]
+        assert_records_match_per_point(records, points)
+
+    def test_balanced_cut(self):
+        points = [dataclasses.replace(BALANCED, gamma_d_b=float(r))
+                  for r in np.geomspace(1.0, 199.0, 101)]
+        assert_records_match_per_point(balanced_cut_scan(BALANCED), points)
+
+    def test_wide_range_draws(self):
+        rng = np.random.default_rng(903)
+        points = [wide_range_params(rng) for _ in range(300)]
+        records = sweep._run_points(points, QuadratureSpec())
+        assert_records_match_per_point(records, points)
+        refused = sum(r.status.startswith("solve:") for r in records)
+        assert 0 < refused < 300
+
+    def test_refusals_raise_what_the_per_point_path_raises(self):
+        rng = np.random.default_rng(77)
+        seen = set()
+        for _ in range(300):
+            params = wide_range_params(rng)
+            try:
+                rho, residual = per_point_steady_state(params)
+            except (NonUniqueSteadyStateError, LinearSolveError,
+                    InvalidStateError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    steady_state(params)
+                assert str(raised.value) == str(exc)
+                seen.add(type(exc))
+                continue
+            got, got_residual = steady_state(params, return_residual=True)
+            assert np.array_equal(got, rho)
+            assert abs(got_residual - residual) <= 1e-15
+        assert NonUniqueSteadyStateError in seen
 
 
 class TestEvolve:

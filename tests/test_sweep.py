@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import BALANCED, FIG2
 from spinsync import (
+    QuadratureSpec,
     RegressionResult,
     SweepRecord,
     SystemParams,
@@ -19,6 +20,7 @@ from spinsync import (
     write_dynamics_csv,
     write_sweep_csv,
 )
+from spinsync import sweep
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER, evaluate_point
 
 SMALL_GRID = dict(eps_range=(0.0, 0.1), delta_range=(-1.0, 1.0), steps=(2, 3))
@@ -65,6 +67,51 @@ class TestRunSteadyPoint:
         assert math.isnan(record.s_rel_fo) and math.isnan(record.negativity_fo)
 
 
+def same_record(a: SweepRecord, b: SweepRecord) -> bool:
+    # repr round-trips every float exactly and, unlike ==, treats the nan
+    # measures of a failed point as equal.
+    return repr(a) == repr(b)
+
+
+class TestChunkIsolation:
+    """A refused or failing point leaves the rest of its chunk untouched."""
+
+    POINTS = [
+        SystemParams(gamma_g_b=0.0),  # kernel not unique
+        SystemParams(gamma_g_a=0.0, gamma_d_b=0.0, epsilon=0.05),  # oracle fails
+        FIG2,
+    ]
+
+    def test_refused_points_match_their_solo_records(self):
+        records = sweep._run_points(self.POINTS, QuadratureSpec())
+        solo = [run_steady_point(p) for p in self.POINTS]
+        assert all(same_record(a, b) for a, b in zip(records, solo))
+        assert records[0].status.startswith("solve: steady state is not unique")
+        assert records[1].status.startswith("oracle:")
+        assert records[2].status == "ok"
+
+    def test_singular_solve_is_pinned_on_its_point(self, monkeypatch):
+        # LAPACK fails the whole stack for one singular member; make the
+        # square k = 0 system of the point with delta = 0.777 singular.
+        solve = np.linalg.solve
+
+        def failing_solve(a, b):
+            rotation = np.diagonal(a, axis1=-2, axis2=-1).imag
+            if np.any(np.abs(rotation + 0.777) < 1e-12):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        points = [*self.POINTS, dataclasses.replace(FIG2, delta=0.777),
+                  dataclasses.replace(FIG2, delta=0.5)]
+        clean = sweep._run_points(points, QuadratureSpec())
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        records = sweep._run_points(points, QuadratureSpec())
+        assert records[3].status == "solve: Singular matrix"
+        assert records[3].schmidt_rank == 0 and math.isnan(records[3].max_s_rel)
+        for i in (0, 1, 2, 4):
+            assert same_record(records[i], clean[i])
+
+
 class TestArnoldSweep:
     def test_grid_order_is_epsilon_major(self):
         records = arnold_sweep(FIG2, **SMALL_GRID)
@@ -82,10 +129,25 @@ class TestArnoldSweep:
             assert r.s_rel_fo == 0.0 and r.negativity_fo == 0.0
             assert r.schmidt_rank == 1
 
-    def test_worker_count_does_not_change_results(self):
-        serial = arnold_sweep(FIG2, **SMALL_GRID)
-        parallel = arnold_sweep(FIG2, jobs=2, **SMALL_GRID)
-        assert serial == parallel
+    def test_chunk_size_does_not_change_results(self, monkeypatch, tmp_path):
+        # 45 points: several chunks of 7, one short chunk, and two chunks
+        # of the default size.
+        grid = dict(eps_range=(0.0, 0.1), delta_range=(-1.0, 1.0), steps=(5, 9))
+        outputs = []
+        for size in (1, 7, sweep.CHUNK_SIZE):
+            monkeypatch.setattr(sweep, "CHUNK_SIZE", size)
+            records = arnold_sweep(FIG2, **grid)
+            path = tmp_path / f"chunk-{size}.csv"
+            write_sweep_csv(records, path)
+            outputs.append((records, path.read_bytes()))
+        for records, data in outputs[1:]:
+            assert records == outputs[0][0]
+            assert data == outputs[0][1]
+
+    def test_jobs_keyword_is_deprecated(self):
+        with pytest.warns(DeprecationWarning, match="jobs is deprecated"):
+            records = arnold_sweep(FIG2, jobs=2, **SMALL_GRID)
+        assert records == arnold_sweep(FIG2, **SMALL_GRID)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -169,6 +231,11 @@ class TestBalancedCutScan:
     def test_rejects_invalid_setups(self, base, kwargs):
         with pytest.raises(ValueError):
             balanced_cut_scan(base, **kwargs)
+
+    def test_jobs_keyword_is_deprecated(self):
+        with pytest.warns(DeprecationWarning, match="jobs is deprecated"):
+            records = balanced_cut_scan(BALANCED, steps=3, jobs=2)
+        assert records == balanced_cut_scan(BALANCED, steps=3)
 
 
 class TestDynamicsTrace:
