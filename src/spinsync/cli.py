@@ -195,10 +195,17 @@ COMMANDS = {
 }
 
 
+# Built on the first call to main and reused: building the parser costs
+# far more than parsing with it.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; fold the
         # latter into the documented bad-arguments code.

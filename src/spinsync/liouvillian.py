@@ -207,7 +207,8 @@ def steady_states(points: Sequence[SystemParams]) -> SteadyStates:
     that is refused or fails does not affect the others.  LAPACK fails a
     whole stack when one member fails (a singular matrix, say), so such a
     stack is solved again in halves until the failure is pinned on its
-    point.  See steady_state for the method.
+    point.  A point whose generator overflows to non-finite entries is
+    refused before any LAPACK call.  See steady_state for the method.
     """
     try:
         return _solve_stack(points)
@@ -226,33 +227,43 @@ def steady_states(points: Sequence[SystemParams]) -> SteadyStates:
 
 def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
     weights = np.array([_weights(p) for p in points], dtype=float)
-    flat = _combine(weights, _SECTOR_BASIS)
+    # Finite parameters near the float maximum overflow the generator; such
+    # points are refused below, before LAPACK sees them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = _combine(weights, _SECTOR_BASIS)
+    finite = np.all(np.isfinite(flat), axis=-1)
     blocks = [
-        flat[:, start:stop].reshape(-1, len(sector), len(sector))
+        flat[finite, start:stop].reshape(-1, len(sector), len(sector))
         for sector, start, stop in zip(EXCITATION_SECTORS, _SECTOR_OFFSETS,
                                        _SECTOR_OFFSETS[1:])
     ]
     # Entries outside the blocks are exactly zero, so the block entries give
     # max|L| of each point.
     gen_scale = np.max(np.abs(flat), axis=-1)
-    singular = np.sort(np.concatenate(
+    singular = np.full((len(points), 81), np.nan)
+    singular[finite] = np.sort(np.concatenate(
         [np.linalg.svd(b, compute_uv=False) for b in blocks], axis=-1
     ), axis=-1)
 
-    refused = singular[:, 1] < KERNEL_RATIO_THRESHOLD * gen_scale
     errors: list[Exception | None] = [None] * len(points)
+    for i in np.flatnonzero(~finite):
+        errors[i] = ValueError(
+            "generator has non-finite entries: the parameters overflow "
+            "double precision"
+        )
+    refused = singular[:, 1] < KERNEL_RATIO_THRESHOLD * gen_scale
     for i in np.flatnonzero(refused):
         errors[i] = NonUniqueSteadyStateError(
             "steady state is not unique: two smallest singular values "
             f"{singular[i, 0]:.3e}, {singular[i, 1]:.3e} against scale "
             f"{gen_scale[i]:.3e}"
         )
-    unique = ~refused
+    unique = finite & ~refused
 
     # Trace preservation makes the nine population rows of the k = 0 block
     # sum to zero, so the first, <+1,+1|rho|+1,+1>, is redundant: the trace
     # row takes its place and the sector system becomes square.
-    sector, block = EXCITATION_SECTORS[0], blocks[0][unique]
+    sector, block = EXCITATION_SECTORS[0], blocks[0][unique[finite]]
     square = block.copy()
     square[:, 0] = trace_row()[sector]
     rhs = np.zeros((len(square), len(sector), 1), dtype=complex)
@@ -271,7 +282,8 @@ def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
     tol = 1e-10 * (1.0 + gen_scale[unique])
     invalid = density_matrix_errors(rho)
     for j, i in enumerate(np.flatnonzero(unique)):
-        if residual[j] > tol[j]:
+        # Written so that a nan residual is refused too.
+        if not residual[j] <= tol[j]:
             errors[i] = LinearSolveError(
                 f"steady-state residual {residual[j]:.3e} exceeds {tol[j]:.3e}",
                 float(residual[j]),

@@ -3,21 +3,18 @@
 The synchronization measure is the distribution of the relative phase
 phi = phi_A - phi_B built from the joint Q function: integrate Q over both
 polar angles and the common phase phi_B at fixed relative phase, subtract
-the uniform background 1/(2 pi).  All integrals are deterministic
-quadratures: Gauss-Legendre in each theta (the integrands are trigonometric
-polynomials of degree <= 3, converged to machine precision well below the
-32-node default) and a uniform rule in phi_B (Fourier modes up to |k| = 4,
-exact for >= 8 nodes).
-
-The quadrature is evaluated in full, over every (theta_A, theta_B, phi_B)
-node; the implementation only reorders the summation by grouping the
-node-independent factors per site, which is exact.
+the uniform background 1/(2 pi).  The integrals are done in closed form.
+The coherent amplitudes factor into a polar part r_a(theta) and a phase
+e^{i a phi}, so the polar integrals leave the overlaps
+integral sin(theta) r_a r_c dtheta, and the phi_B integral keeps only the
+entries <a,b|rho|c,d> with c - a = b - d.  What is left is a trigonometric
+polynomial in phi with five Fourier modes, |k| <= 2, linear in rho; the
+single-spin marginal p_single is the same polynomial for one site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,10 +25,12 @@ HUSIMI_NORM = 3.0 / (4.0 * np.pi)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts for the phase-space integrals.
+    """Output grid of the phase distributions.
 
-    n_theta: Gauss-Legendre nodes per polar axis; n_phi: uniform nodes for
-    the integrated common phase; n_phi_out: size of the output phase grid.
+    n_phi_out is the size of the uniform output phase grid.  n_theta and
+    n_phi are node counts for a numerical quadrature of the integrals.
+    The integrals are exact, so these two change no output; they are kept
+    and validated so that existing configs load and are checked as before.
     """
 
     n_theta: int = 32
@@ -92,51 +91,51 @@ def husimi_joint(
     return HUSIMI_NORM**2 * float(np.real(amp.conj() @ rho @ amp))
 
 
-# Basis index k carries the phase factor e^{i k phi} in coherent_state.
-_PHASE_ORDER = np.arange(SINGLE_DIM)
+# _THETA_OVERLAP[a, c] = integral_0^pi sin(theta) r_a(theta) r_c(theta) dtheta
+# for the coherent-state amplitudes at phi = 0,
+# r = (cos^2, sqrt(2) sin cos, sin^2) of theta / 2.
+_EDGE = np.sqrt(2.0) * np.pi / 8.0
+_THETA_OVERLAP = np.array([
+    [2.0 / 3.0, _EDGE, 1.0 / 3.0],
+    [_EDGE, 2.0 / 3.0, _EDGE],
+    [1.0 / 3.0, _EDGE, 2.0 / 3.0],
+])
+
+# Modes k = -2..2 of the relative-phase profile.
+_MODES = np.arange(-2, 3)
 
 
-def _phase_factors(phis: np.ndarray) -> np.ndarray:
-    # out[p, a, c] = exp(i (c - a) phi_p): the phase carried by
-    # conj(amp_a) amp_c of a coherent state at phi_p.
-    k = _PHASE_ORDER[None, :] - _PHASE_ORDER[:, None]
-    return np.exp(1j * np.multiply.outer(phis, k))
+def _s_rel_mode_matrix() -> np.ndarray:
+    # Row k + 2 maps vec(rho) to c_k.  <a,b|rho|c,d> sits at vec index
+    # 9 (3a + b) + 3c + d, and after the phi_B integral only the entries
+    # with c - a = b - d survive, each carrying e^{i (c - a) phi}.
+    out = np.zeros((len(_MODES), PAIR_DIM, PAIR_DIM))
+    for a, b, c, d in np.ndindex(3, 3, 3, 3):
+        if c - a == b - d:
+            out[c - a + 2, 3 * a + b, 3 * c + d] = (
+                _THETA_OVERLAP[a, c] * _THETA_OVERLAP[b, d])
+    return 2.0 * np.pi * HUSIMI_NORM**2 * out.reshape(len(_MODES), -1)
 
 
-@lru_cache(maxsize=8)
-def _quadrature_tables(quad: QuadratureSpec):
-    """State-independent tables for the phase-space integrals.
+_S_REL_MODES = _s_rel_mode_matrix()
 
-    theta_overlap[a, c] = integral sin(theta) r_a(theta) r_c(theta) dtheta
-    via Gauss-Legendre, where r are the coherent amplitudes at phi = 0;
-    common_phase[a, c, b, d] = uniform-rule sum over phi_B of the combined
-    A and B phase factors, including the 2 pi / n_phi weights.
-    """
-    x, w = np.polynomial.legendre.leggauss(quad.n_theta)
-    thetas = 0.5 * np.pi * (x + 1.0)
-    weights = 0.5 * np.pi * w * np.sin(thetas)
-    half = 0.5 * thetas
-    c, s = np.cos(half), np.sin(half)
-    radial = np.stack([c * c, np.sqrt(2.0) * s * c, s * s], axis=1)
-    theta_overlap = np.einsum("t,ta,tc->ac", weights, radial, radial)
 
-    phi_nodes = 2.0 * np.pi * np.arange(quad.n_phi) / quad.n_phi
-    node_phase = _phase_factors(phi_nodes)
-    common_phase = (2.0 * np.pi / quad.n_phi) * np.einsum(
-        "jac,jbd->acbd", node_phase, node_phase
-    )
-
-    out_phis = 2.0 * np.pi * np.arange(quad.n_phi_out) / quad.n_phi_out
-    out_phase = _phase_factors(out_phis)
-    return theta_overlap, common_phase, out_phis, out_phase
+def _on_grid(modes: np.ndarray, n_phi_out: int) -> PhaseDistribution:
+    # sum_k modes[..., k] e^{i k phi} - 1/(2 pi) on the uniform output grid;
+    # the modes come in conjugate pairs, so the sum is real.
+    phis = 2.0 * np.pi * np.arange(n_phi_out) / n_phi_out
+    waves = np.exp(1j * np.multiply.outer(phis, _MODES))
+    values = np.real(np.einsum("pk,...k->...p", waves, modes)) - 1.0 / (2.0 * np.pi)
+    return PhaseDistribution(phis=phis, values=values)
 
 
 def s_rel(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDistribution:
     """Relative-phase distribution offset of a two-spin state.
 
-    For each output phi, integrates the joint Q at angles
-    (phi_A, phi_B) = (phi + phi_B, phi_B) over theta_A, theta_B, phi_B and
-    subtracts 1/(2 pi).  Requires Hermitian input but not positivity, so
+    For each output phi, the joint Q at angles (phi_A, phi_B) =
+    (phi + phi_B, phi_B) integrated over theta_A, theta_B and phi_B, minus
+    1/(2 pi): five Fourier modes, a fixed linear map of vec(rho),
+    evaluated on the n_phi_out grid.  Requires Hermitian input but not positivity, so
     synthetic first-order states can be probed directly.  rho may also be a
     stack (..., 9, 9); the values are then (..., n_phi_out).
     """
@@ -144,17 +143,11 @@ def s_rel(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDist
         raise ValueError(f"expected a 9x9 matrix, got shape {rho.shape}")
     if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0) > 1e-8:
         raise ValueError("state must be Hermitian")
-    theta_overlap, common_phase, out_phis, out_phase = _quadrature_tables(quad)
-
-    r4 = rho.reshape(rho.shape[:-2] + (SINGLE_DIM,) * 4)
-    # Sum theta_A, theta_B, phi_B node contributions for each output phi; the
-    # A-side factor splits as e^{i(c-a)(phi + phi_B)}, handled by out_phase.
-    site_summed = np.einsum("ac,bd,acbd,...abcd->...ac", theta_overlap,
-                            theta_overlap, common_phase, r4)
-    values = HUSIMI_NORM**2 * np.real(
-        np.einsum("pac,...ac->...p", out_phase, site_summed)
-    ) - 1.0 / (2.0 * np.pi)
-    return PhaseDistribution(phis=out_phis, values=values)
+    # einsum rather than a matmul: every state of a stack gets the bits it
+    # gets alone.
+    flat = rho.reshape(rho.shape[:-2] + (PAIR_DIM**2,))
+    modes = np.einsum("kn,...n->...k", _S_REL_MODES, flat)
+    return _on_grid(modes, quad.n_phi_out)
 
 
 def p_single(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDistribution:
@@ -162,11 +155,10 @@ def p_single(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseD
     _check_square(rho, SINGLE_DIM)
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise ValueError("state must be Hermitian")
-    theta_overlap, _, out_phis, out_phase = _quadrature_tables(quad)
-    values = HUSIMI_NORM * np.real(
-        np.einsum("pac,ac,ac->p", out_phase, theta_overlap, rho)
-    ) - 1.0 / (2.0 * np.pi)
-    return PhaseDistribution(phis=out_phis, values=values)
+    # Mode k collects the entries rho[a, a + k], the k-th diagonal.
+    weighted = _THETA_OVERLAP * rho
+    modes = HUSIMI_NORM * np.array([np.trace(weighted, offset=k) for k in _MODES])
+    return _on_grid(modes, quad.n_phi_out)
 
 
 TIE_RTOL = 1e-12

@@ -9,7 +9,8 @@ import pytest
 
 import spinsync
 from spinsync import negativity
-from spinsync.cli import main
+from spinsync import cli
+from spinsync.cli import build_parser, main
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER
 
 FIG2_CONFIG = {
@@ -129,6 +130,24 @@ class TestArgumentErrors:
         assert main(["--help"]) == 0
         assert "steady" in capsys.readouterr().out
         assert main(["sweep", "--help"]) == 0
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting_build_parser():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cfg = write_json(tmp_path, FIG2_CONFIG)
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--frobnicate"]) == 1
+        assert main(["--help"]) == 0
+        assert "steady" in capsys.readouterr().out
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["record"]["status"] == "ok"
+        assert len(built) == 1
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -10,6 +10,7 @@ from spinsync import (
     mutual_information,
     negativity,
     purity,
+    s_rel,
     schmidt_analysis,
     steady_state,
     von_neumann_entropy,
@@ -219,6 +220,7 @@ def test_stacked_measures_equal_single_state_calls():
         (mutual_information_stack, mutual_information),
         (purity_stack, purity),
         (lambda rhos: schmidt_stack(rhos)[1], lambda rho: schmidt_analysis(rho).rank),
+        (lambda rhos: s_rel(rhos).values, lambda rho: s_rel(rho).values.tolist()),
     ]
     for stacked, single in pairs:
         assert stacked(states).tolist() == [single(rho) for rho in states]

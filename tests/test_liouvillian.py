@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm, lstsq
 
 from conftest import BALANCED, FIG2, density_matrices, random_density, system_params
+from quadrature import quadrature_s_rel
 from spinsync import (
     IntegrationStepError,
     NonUniqueSteadyStateError,
@@ -40,7 +41,7 @@ from spinsync.operators import (
     partial_transpose,
     spin1_operators,
 )
-from spinsync.phasespace import HUSIMI_NORM, TIE_RTOL, _quadrature_tables
+from spinsync.phasespace import TIE_RTOL
 
 
 def both_zero_density() -> np.ndarray:
@@ -143,12 +144,7 @@ def per_point_entropy(rho: np.ndarray) -> float:
 
 def per_point_measures(rho: np.ndarray, quad: QuadratureSpec) -> dict:
     """Every measure of one state, each on 2-d arrays as before the stacked engine."""
-    theta_overlap, common_phase, out_phis, out_phase = _quadrature_tables(quad)
-    site_summed = np.einsum("ac,bd,acbd,abcd->ac", theta_overlap, theta_overlap,
-                            common_phase, rho.reshape(3, 3, 3, 3))
-    values = HUSIMI_NORM**2 * np.real(
-        np.einsum("pac,ac->p", out_phase, site_summed)
-    ) - 1.0 / (2.0 * np.pi)
+    out_phis, values = quadrature_s_rel(rho, quad)
     idx = int(np.argmax(values))
     tied = values >= values[idx] - TIE_RTOL * np.max(np.abs(values))
     if tied.any():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from conftest import random_density
+from conftest import density_matrices, random_density
+from quadrature import quadrature_p_single, quadrature_s_rel
 from spinsync import (
     PhaseDistribution,
     QuadratureSpec,
@@ -21,6 +24,13 @@ from spinsync.operators import joint_index, partial_trace, spin1_operators
 from spinsync.phasespace import HUSIMI_NORM
 
 SREL_AMP = 9.0 * np.pi / 128.0
+
+# Node counts from the smallest at which Gauss-Legendre is converged to
+# roundoff up to well past the default, phi_B rules of both parities, and
+# output grids from a single phase up to the default.
+N_THETA = (12, 32, 64)
+N_PHI = (8, 13, 32)
+N_PHI_OUT = (1, 7, 64)
 
 
 def hermitian_locked_state(eps_mu_plus: complex, eps_mu_minus: complex = 0.0) -> np.ndarray:
@@ -215,6 +225,41 @@ class TestSRel:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             s_rel(np.eye(3, dtype=complex) / 3.0)
+
+
+class TestClosedFormAgainstQuadrature:
+    """The closed-form integrals equal the numerical quadrature they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rho=density_matrices(),
+        n_theta=st.sampled_from(N_THETA),
+        n_phi=st.sampled_from(N_PHI),
+        n_phi_out=st.sampled_from(N_PHI_OUT),
+    )
+    def test_single_states(self, rho, n_theta, n_phi, n_phi_out):
+        quad = QuadratureSpec(n_theta=n_theta, n_phi=n_phi, n_phi_out=n_phi_out)
+        dist = s_rel(rho, quad)
+        phis, values = quadrature_s_rel(rho, quad)
+        assert np.array_equal(dist.phis, phis)
+        assert np.max(np.abs(dist.values - values)) <= 1e-13
+        for site in ("A", "B"):
+            marginal = partial_trace(rho, site)
+            dist = p_single(marginal, quad)
+            phis, values = quadrature_p_single(marginal, quad)
+            assert np.array_equal(dist.phis, phis)
+            assert np.max(np.abs(dist.values - values)) <= 1e-13
+
+    @pytest.mark.parametrize("n_phi_out", N_PHI_OUT)
+    @pytest.mark.parametrize("n_phi", N_PHI)
+    @pytest.mark.parametrize("n_theta", N_THETA)
+    def test_stack(self, n_theta, n_phi, n_phi_out):
+        rng = np.random.default_rng(41)
+        rhos = np.array([random_density(rng, 9) for _ in range(16)])
+        quad = QuadratureSpec(n_theta=n_theta, n_phi=n_phi, n_phi_out=n_phi_out)
+        values = s_rel(rhos, quad).values
+        assert values.shape == (16, n_phi_out)
+        assert np.max(np.abs(values - quadrature_s_rel(rhos, quad)[1])) <= 1e-13
 
 
 class TestPSingle:

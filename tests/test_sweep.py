@@ -21,6 +21,7 @@ from spinsync import (
     write_sweep_csv,
 )
 from spinsync import sweep
+from spinsync.cli import main
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER, evaluate_point
 
 SMALL_GRID = dict(eps_range=(0.0, 0.1), delta_range=(-1.0, 1.0), steps=(2, 3))
@@ -89,6 +90,21 @@ class TestChunkIsolation:
         assert records[0].status.startswith("solve: steady state is not unique")
         assert records[1].status.startswith("oracle:")
         assert records[2].status == "ok"
+
+    def test_overflowing_generator_is_refused(self, capfd, tmp_path):
+        # delta = 1e308 is finite, but the generator built from it is not;
+        # LAPACK used to print a DLASCL error and the point came back "ok".
+        huge = SystemParams(delta=1e308)
+        records = sweep._run_points([huge, FIG2], QuadratureSpec())
+        assert records[0].status.startswith("solve: generator has non-finite entries")
+        assert records[0].schmidt_rank == 0 and math.isnan(records[0].residual)
+        assert same_record(records[1], run_steady_point(FIG2))
+        config = tmp_path / "huge.json"
+        config.write_text('{"delta": 1e308}')
+        assert main(["steady", "--config", str(config)]) == 2
+        out, err = capfd.readouterr()
+        assert "non-finite" in err
+        assert "DLASCL" not in out + err
 
     def test_singular_solve_is_pinned_on_its_point(self, monkeypatch):
         # LAPACK fails the whole stack for one singular member; make the
