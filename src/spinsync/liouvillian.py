@@ -16,13 +16,18 @@ m_A + m_B on each side of rho, so the generator is block-diagonal in the
 excitation difference k between the row and the column of rho (nine sectors,
 k = -4..4).  The steady state is one square solve of the 19-dimensional
 k = 0 block, its redundant first population row replaced by the trace row;
-its uniqueness is checked from the singular values of the nine blocks.
-steady_states solves a stack of points with stacked LAPACK calls, and
-steady_state is that solve for a stack of one point.
+its uniqueness is checked from the singular values of the nine blocks.  The
+generator preserves Hermiticity, L(rho^dag) = L(rho)^dag, so the block of
+sector -k is the complex conjugate of the block of +k under the index swap
+rho_rc <-> rho_cr and has the same singular values: five SVDs, of k = 0 and
+of k = 1..4, give all nine sets.  steady_states solves a stack of points
+with stacked LAPACK calls, and steady_state is that solve for a stack of one
+point.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -67,12 +72,12 @@ class SystemParams:
             "epsilon": self.epsilon,
         }
         for name, value in rates.items():
-            if not np.isfinite(value) or value < 0.0:
+            if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.gamma_d_a <= 0.0:
             raise ValueError("gamma_d_a sets the unit scale and must be > 0")
         for name in ("delta", "omega_ref"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
 
@@ -175,13 +180,23 @@ entries with different k: it is block-diagonal over these sectors, of sizes
 lives in k = 0.
 """
 
-# The seven basis superoperators restricted to the nine sector blocks, all
-# flattened side by side, so one combination assembles every block.
-_SECTOR_BASIS = np.concatenate(
-    [_BASIS[:, sector][:, :, sector].reshape(7, -1) for sector in EXCITATION_SECTORS],
-    axis=1,
-)
 _SECTOR_OFFSETS = np.cumsum([0] + [len(sector) ** 2 for sector in EXCITATION_SECTORS])
+
+
+def _sector_basis() -> tuple[np.ndarray, np.ndarray]:
+    # The nine sector blocks flattened side by side hold 1107 entries, but
+    # only 260 of them are nonzero in any basis superoperator; the rest are
+    # zero at every point.  Returns the positions of those 260 entries and
+    # the basis restricted to them, (7, 260).
+    flat = np.concatenate(
+        [_BASIS[:, sector][:, :, sector].reshape(7, -1) for sector in EXCITATION_SECTORS],
+        axis=1,
+    )
+    entries = np.flatnonzero(np.any(flat != 0.0, axis=0))
+    return entries, flat[:, entries]
+
+
+_SECTOR_ENTRIES, _SECTOR_BASIS = _sector_basis()
 
 KERNEL_RATIO_THRESHOLD = 1e-8
 
@@ -208,7 +223,8 @@ def steady_states(points: Sequence[SystemParams]) -> SteadyStates:
     whole stack when one member fails (a singular matrix, say), so such a
     stack is solved again in halves until the failure is pinned on its
     point.  A point whose generator overflows to non-finite entries is
-    refused before any LAPACK call.  See steady_state for the method.
+    refused before any LAPACK call.  An empty stack gives empty arrays.
+    See steady_state for the method.
     """
     try:
         return _solve_stack(points)
@@ -225,25 +241,45 @@ def steady_states(points: Sequence[SystemParams]) -> SteadyStates:
         )
 
 
-def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
-    weights = np.array([_weights(p) for p in points], dtype=float)
-    # Finite parameters near the float maximum overflow the generator; such
-    # points are refused below, before LAPACK sees them.
+def _sector_blocks(
+    weights: np.ndarray,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The nine sector blocks of a stack of points, from their (n, 7) weights.
+
+    Returns the blocks in EXCITATION_SECTORS order, each (n, d, d); whether
+    every entry of a point is finite; and max|L| of each point.  Only the
+    entries nonzero in some basis superoperator are combined, elementwise as
+    in build_generator, so every block is bitwise that block of
+    build_generator; the other entries are exactly zero.
+    """
+    # Finite parameters near the float maximum overflow the generator; the
+    # caller refuses such points before LAPACK sees them.
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = _combine(weights, _SECTOR_BASIS)
-    finite = np.all(np.isfinite(flat), axis=-1)
+        entries = _combine(weights, _SECTOR_BASIS)
+    flat = np.zeros((len(weights), _SECTOR_OFFSETS[-1]), dtype=complex)
+    flat[:, _SECTOR_ENTRIES] = entries
     blocks = [
-        flat[finite, start:stop].reshape(-1, len(sector), len(sector))
+        flat[:, start:stop].reshape(-1, len(sector), len(sector))
         for sector, start, stop in zip(EXCITATION_SECTORS, _SECTOR_OFFSETS,
                                        _SECTOR_OFFSETS[1:])
     ]
-    # Entries outside the blocks are exactly zero, so the block entries give
-    # max|L| of each point.
-    gen_scale = np.max(np.abs(flat), axis=-1)
+    # Entries outside the blocks are exactly zero, so the nonzero block
+    # entries give max|L| of each point.
+    return (blocks, np.all(np.isfinite(entries), axis=-1),
+            np.max(np.abs(entries), axis=-1))
+
+
+def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
+    # The reshape keeps the field axis of an empty stack.
+    weights = np.array([_weights(p) for p in points], dtype=float).reshape(len(points), 7)
+    all_blocks, finite, gen_scale = _sector_blocks(weights)
+    # The block of -k has the singular values of the block of +k (see the
+    # module docstring): k = 0 and the four +k blocks are decomposed, and
+    # each +k set enters the union twice.
+    blocks = [b[finite] for b in all_blocks[:1] + all_blocks[1::2]]
+    values = [np.linalg.svd(b, compute_uv=False) for b in blocks]
     singular = np.full((len(points), 81), np.nan)
-    singular[finite] = np.sort(np.concatenate(
-        [np.linalg.svd(b, compute_uv=False) for b in blocks], axis=-1
-    ), axis=-1)
+    singular[finite] = np.sort(np.concatenate(values + values[1:], axis=-1), axis=-1)
 
     errors: list[Exception | None] = [None] * len(points)
     for i in np.flatnonzero(~finite):
@@ -306,13 +342,17 @@ def steady_state(
 
     The generator is block-diagonal over EXCITATION_SECTORS, so its singular
     values are those of the nine diagonal blocks, each assembled directly
-    from the basis restricted to its sector.  The kernel is verified
-    one-dimensional through the two smallest of them before trusting the
-    solution.  The state is then solved in the 19-dimensional k = 0 sector
-    as one square system: the block with its first, redundant population
-    row replaced by the trace row, right-hand side (1, 0, ..., 0); every
-    other sector of rho is zero.  The residual is checked against all 19
-    rows of the block.  This is steady_states on a stack of one point.
+    from the nonzero entries of the basis restricted to its sector.  The
+    block of sector -k is the complex conjugate of the block of +k under the
+    index swap rho_rc <-> rho_cr, so only the blocks of k = 0 and k = 1..4
+    are decomposed and each +k set counts twice.  The kernel is verified
+    one-dimensional through the two smallest of the 81 values before
+    trusting the solution.  The state is then solved in the 19-dimensional
+    k = 0 sector as one square system: the block with its first, redundant
+    population row replaced by the trace row, right-hand side
+    (1, 0, ..., 0); every other sector of rho is zero.  The residual is
+    checked against all 19 rows of the block.  This is steady_states on a
+    stack of one point.
     """
     batch = steady_states([params])
     if batch.errors[0] is not None:

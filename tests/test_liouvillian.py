@@ -27,7 +27,10 @@ from spinsync import sweep
 from spinsync.liouvillian import (
     EXCITATION_SECTORS,
     KERNEL_RATIO_THRESHOLD,
+    _sector_blocks,
+    _weights,
     default_time_step,
+    steady_states,
     trace_row,
 )
 from spinsync.operators import (
@@ -252,6 +255,28 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64])
+    def test_accepts_numpy_scalars(self, kind):
+        p = SystemParams(gamma_g_a=kind(3), gamma_d_a=kind(1), gamma_g_b=kind(2),
+                         gamma_d_b=kind(5), epsilon=kind(0), delta=kind(-2),
+                         omega_ref=kind(4))
+        assert steady_state(p).shape == (9, 9)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"gamma_g_b": np.float64(-0.5)}, "gamma_g_b must be finite and >= 0, got -0.5"),
+            ({"epsilon": np.float32("nan")}, "epsilon must be finite and >= 0, got nan"),
+            ({"gamma_d_a": np.int64(0)}, "gamma_d_a sets the unit scale and must be > 0"),
+            ({"delta": np.float64("-inf")}, "delta must be finite"),
+            ({"omega_ref": np.float32("inf")}, "omega_ref must be finite"),
+        ],
+    )
+    def test_rejection_messages_for_numpy_scalars(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            SystemParams(**kwargs)
+        assert str(raised.value) == message
+
 
 class TestGenerator:
     def test_shape(self):
@@ -305,6 +330,44 @@ class TestExcitationSectors:
         k = np.array([excitation_difference(i) for i in range(81)])
         assert np.all(gen[k[:, None] != k[None, :]] == 0.0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(system_params(), st.floats(min_value=-10.0, max_value=10.0))
+    def test_minus_k_block_is_conjugate_of_plus_k_block(self, params, omega):
+        # L(rho^dag) = L(rho)^dag: under the index swap rho_rc <-> rho_cr the
+        # block of sector -k is the complex conjugate of the block of +k, so
+        # the two share their singular values.
+        gen = build_generator(dataclasses.replace(params, omega_ref=omega))
+        scale = np.max(np.abs(gen))
+        for plus, minus in zip(EXCITATION_SECTORS[1::2], EXCITATION_SECTORS[2::2]):
+            swapped = 9 * (plus % 9) + plus // 9
+            assert np.array_equal(np.sort(swapped), minus)
+            block = gen[np.ix_(plus, plus)]
+            assert np.array_equal(gen[np.ix_(swapped, swapped)], block.conj())
+            assert np.max(np.abs(
+                np.linalg.svd(gen[np.ix_(minus, minus)], compute_uv=False)
+                - np.linalg.svd(block, compute_uv=False)
+            )) <= 1e-13 * scale
+
+    def test_sector_blocks_are_generator_blocks_bit_for_bit(self):
+        # Only the entries nonzero in some basis superoperator are combined;
+        # the stack mixes signs of delta and omega_ref, a zero rate and FIG2.
+        points = [
+            FIG2,
+            SystemParams(gamma_g_a=0.3, gamma_d_b=7.0, epsilon=0.2, delta=-0.8,
+                         omega_ref=-2.5),
+            SystemParams(gamma_g_b=0.0, epsilon=0.05, delta=1.5, omega_ref=-1e3),
+            SystemParams(gamma_g_a=2.0, gamma_d_b=0.0, delta=-3e5, omega_ref=40.0),
+            dataclasses.replace(BALANCED, delta=-0.1, omega_ref=0.7),
+        ]
+        blocks, finite, scale = _sector_blocks(
+            np.array([_weights(p) for p in points], dtype=float))
+        assert np.all(finite)
+        for i, params in enumerate(points):
+            gen = build_generator(params)
+            assert scale[i] == np.max(np.abs(gen))
+            for sector, block in zip(EXCITATION_SECTORS, blocks):
+                assert block[i].tobytes() == gen[np.ix_(sector, sector)].tobytes()
+
 
 class TestSteadyState:
     def test_uncoupled_pair_parks_on_both_zero(self):
@@ -335,6 +398,27 @@ class TestSteadyState:
     def test_missing_gain_channel_degenerates(self):
         with pytest.raises(NonUniqueSteadyStateError):
             steady_state(SystemParams(gamma_g_b=0.0))
+
+    def test_empty_stack(self):
+        batch = steady_states([])
+        assert batch.states.shape == (0, 9, 9)
+        assert batch.residuals.shape == (0,)
+        assert batch.errors == ()
+        assert sweep._evaluate_chunk([], QuadratureSpec()) == ([], [])
+
+    def test_five_sector_svds_per_stack(self, monkeypatch):
+        # The -k blocks share the singular values of the +k blocks, so only
+        # k = 0 and k = 1..4 are decomposed.
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        steady_states([FIG2, BALANCED, SystemParams(gamma_g_b=0.0)])
+        assert shapes == [(3, d, d) for d in (19, 16, 10, 4, 1)]
 
     @settings(max_examples=15, deadline=None)
     @given(system_params())
@@ -438,6 +522,27 @@ class TestPerPointOracle:
             assert np.array_equal(got, rho)
             assert abs(got_residual - residual) <= 1e-15
         assert NonUniqueSteadyStateError in seen
+
+    def test_degenerate_refusals(self):
+        # Two rates zeroed, both gains or spin B's gain and damping, so the
+        # two smallest singular values are rounding noise.  Those printed
+        # values may differ (a +k block and its -k twin give the same set
+        # here), but every decision and its cause must not.
+        rng = np.random.default_rng(4242)
+        points = []
+        for _ in range(300):
+            zeroed = ("gamma_g_a", "gamma_g_b") if rng.random() < 0.5 else (
+                "gamma_g_b", "gamma_d_b")
+            points.append(dataclasses.replace(
+                wide_range_params(rng), **dict.fromkeys(zeroed, 0.0)))
+        records = sweep._run_points(points, QuadratureSpec())
+        for record, params in zip(records, points):
+            reference = per_point_record(params)
+            assert (record.status.partition(" values ")[0]
+                    == reference.status.partition(" values ")[0]), params
+        refused = sum(r.status.startswith("solve: steady state is not unique")
+                      for r in records)
+        assert 0 < refused < 300
 
 
 class TestEvolve:
