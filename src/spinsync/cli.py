@@ -18,6 +18,7 @@ import numpy as np
 from .liouvillian import SystemParams
 from .phasespace import QuadratureSpec
 from .sweep import (
+    SweepRecord,
     arnold_sweep,
     balanced_cut_scan,
     dynamics_trace,
@@ -87,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--delta-max", type=float, default=1.0)
     sweep.add_argument("--delta-steps", type=int, default=101)
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="deprecated and ignored")
 
     scan = sub.add_parser("scan-balanced", help="scan spin-B damping on a cut")
     scan.add_argument("--config", required=True)
@@ -110,17 +109,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The "state" member of the steady JSON as json.dumps(..., indent=2) lays it
+# out: 81 [re, im] pairs, each number on its own line.
+_STATE_TEMPLATE = (
+    "[\n"
+    + ",\n".join(["    [\n      {!r},\n      {!r}\n    ]"] * 81)
+    + "\n  ]\n}}"
+)
+
+
+def _steady_json(record: SweepRecord, rho: np.ndarray) -> str:
+    """{"record": ..., "state": [[re, im], ...]} exactly as json.dumps(indent=2).
+
+    json.dumps with indent runs the pure-Python encoder, which is slow on
+    the 162 state numbers; they are written from a fixed template instead.
+    json writes a finite float as its repr, and a solved state is finite.
+    """
+    head = json.dumps(asdict(record), indent=2).replace("\n", "\n  ")
+    values = np.stack([rho.real, rho.imag], axis=-1).ravel().tolist()
+    return '{\n  "record": ' + head + ',\n  "state": ' + _STATE_TEMPLATE.format(*values)
+
+
 def _cmd_steady(args) -> int:
     params, quad = load_config(args.config)
     record, rho = evaluate_point(params, quad)
     if record.status != "ok" or rho is None:
         print(f"steady solve failed: {record.status}", file=sys.stderr)
         return 2
-    payload = {
-        "record": asdict(record),
-        "state": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)],
-    }
-    text = json.dumps(payload, indent=2)
+    text = _steady_json(record, rho)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -130,8 +146,6 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs is not None:
-        print("warning: --jobs is deprecated and ignored", file=sys.stderr)
     params, quad = load_config(args.config)
     records = arnold_sweep(
         params,

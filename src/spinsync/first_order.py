@@ -69,16 +69,30 @@ def s_rel_first_order(
     return SREL_COEFF * params.epsilon * np.real(np.exp(1j * phi) * amplitude)
 
 
+def _s_rel_peak(epsilon: float, mu: CoherencePair) -> float:
+    return float(SREL_COEFF * epsilon * abs(mu.mu_plus + np.conj(mu.mu_minus)))
+
+
+def _negativity(epsilon: float, mu: CoherencePair) -> float:
+    return epsilon * (abs(mu.mu_plus) + abs(mu.mu_minus))
+
+
 def s_rel_peak_first_order(params: SystemParams, t: float | None = STEADY) -> float:
     """First-order peak over phi, SREL_COEFF*epsilon*|mu_plus + conj(mu_minus)|."""
-    mu = coherences(params, t)
-    return float(SREL_COEFF * params.epsilon * abs(mu.mu_plus + np.conj(mu.mu_minus)))
+    return _s_rel_peak(params.epsilon, coherences(params, t))
 
 
 def negativity_first_order(params: SystemParams, t: float | None = STEADY) -> float:
     """First-order negativity epsilon*(|mu_plus| + |mu_minus|)."""
+    return _negativity(params.epsilon, coherences(params, t))
+
+
+def peak_and_negativity_first_order(
+    params: SystemParams, t: float | None = STEADY
+) -> tuple[float, float]:
+    """s_rel_peak_first_order and negativity_first_order from one coherences solve."""
     mu = coherences(params, t)
-    return params.epsilon * (abs(mu.mu_plus) + abs(mu.mu_minus))
+    return _s_rel_peak(params.epsilon, mu), _negativity(params.epsilon, mu)
 
 
 def first_order_state(params: SystemParams, t: float | None = STEADY) -> np.ndarray:

@@ -20,9 +20,11 @@ its uniqueness is checked from the singular values of the nine blocks.  The
 generator preserves Hermiticity, L(rho^dag) = L(rho)^dag, so the block of
 sector -k is the complex conjugate of the block of +k under the index swap
 rho_rc <-> rho_cr and has the same singular values: five SVDs, of k = 0 and
-of k = 1..4, give all nine sets.  steady_states solves a stack of points
-with stacked LAPACK calls, and steady_state is that solve for a stack of one
-point.
+of k = 1..4, give all nine sets.  A Cholesky factorization of shifted Gram
+matrices of those five blocks usually proves the kernel one-dimensional
+without them, and the SVDs run only on a stack it cannot clear.
+steady_states solves a stack of points with stacked LAPACK calls, and
+steady_state is that solve for a stack of one point.
 """
 
 from __future__ import annotations
@@ -200,6 +202,11 @@ _SECTOR_ENTRIES, _SECTOR_BASIS = _sector_basis()
 
 KERNEL_RATIO_THRESHOLD = 1e-8
 
+# t t^T for the trace row t restricted to k = 0: the rank-one lift that
+# keeps the steady state's own direction out of the k = 0 certificate.
+_K0_TRACE = trace_row()[EXCITATION_SECTORS[0]].real
+_K0_TRACE_GRAM = np.outer(_K0_TRACE, _K0_TRACE)
+
 
 @dataclass(frozen=True)
 class SteadyStates:
@@ -269,17 +276,63 @@ def _sector_blocks(
             np.max(np.abs(entries), axis=-1))
 
 
+def _kernel_certified(blocks: list[np.ndarray], gen_scale: np.ndarray) -> bool:
+    """Whether every point of the stack provably passes the kernel test.
+
+    blocks are the k = 0..4 blocks of finite points and gen_scale their
+    max|L|.  With tau = KERNEL_RATIO_THRESHOLD * max|L|, the test passes
+    when the second-smallest singular value of the k = 0 block and the
+    smallest of each k = 1..4 block are at least tau, since each +k set
+    counts twice.  A Cholesky factorization of G - s I that succeeds
+    proves lambda_min(G) > s up to its rounding.  For k >= 1, G = B^H B,
+    so lambda_min(G) = sigma_min(B)^2.  For k = 0, G = B^H B + c^2 t t^T
+    with t the trace row and c = max|L|; a rank-one lift cannot raise the
+    smallest eigenvalue past the second one, so lambda_min(G) <= sigma_2^2.
+    The shift s = (2 tau)^2 + 2 (d + 2) eps tr(G) holds twice the
+    first-order rounding bounds of the Gram product and of the Cholesky
+    factorization (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10), so a success proves a margin of 2 tau,
+    far beyond the SVD's own error of about d^2 eps max|L|.  The blocks of
+    k = 2, 3, 4 are factored together as one 15x15 block-diagonal matrix:
+    its off-diagonal zeros stay exact, so each block factors as alone.
+    False means unproven, not refused.
+    """
+    n = len(gen_scale)
+    size = sum(block.shape[-1] for block in blocks[2:])
+    tail = np.zeros((n, size, size), dtype=complex)
+    start = 0
+    for block in blocks[2:]:
+        stop = start + block.shape[-1]
+        tail[:, start:stop, start:stop] = block
+        start = stop
+    floor = (2.0 * KERNEL_RATIO_THRESHOLD * gen_scale) ** 2
+    # Overflowing Gram entries or shifts make the factorization fail or its
+    # factor non-finite, which only sends the stack to the SVDs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, block in enumerate((blocks[0], blocks[1], tail)):
+            dim = block.shape[-1]
+            gram = np.swapaxes(block.conj(), -1, -2) @ block
+            if k == 0:
+                gram += (gen_scale ** 2)[:, None, None] * _K0_TRACE_GRAM
+            diagonal = gram.reshape(n, dim * dim)[:, ::dim + 1]
+            trace = np.sum(diagonal.real, axis=-1)
+            diagonal -= (floor + 2 * (dim + 2) * np.finfo(float).eps * trace)[:, None]
+            try:
+                factor = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                return False
+            if not np.isfinite(factor.sum()):
+                return False
+    return True
+
+
 def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
     # The reshape keeps the field axis of an empty stack.
     weights = np.array([_weights(p) for p in points], dtype=float).reshape(len(points), 7)
     all_blocks, finite, gen_scale = _sector_blocks(weights)
     # The block of -k has the singular values of the block of +k (see the
-    # module docstring): k = 0 and the four +k blocks are decomposed, and
-    # each +k set enters the union twice.
+    # module docstring), so k = 0 and the four +k blocks decide uniqueness.
     blocks = [b[finite] for b in all_blocks[:1] + all_blocks[1::2]]
-    values = [np.linalg.svd(b, compute_uv=False) for b in blocks]
-    singular = np.full((len(points), 81), np.nan)
-    singular[finite] = np.sort(np.concatenate(values + values[1:], axis=-1), axis=-1)
 
     errors: list[Exception | None] = [None] * len(points)
     for i in np.flatnonzero(~finite):
@@ -287,13 +340,20 @@ def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
             "generator has non-finite entries: the parameters overflow "
             "double precision"
         )
-    refused = singular[:, 1] < KERNEL_RATIO_THRESHOLD * gen_scale
-    for i in np.flatnonzero(refused):
-        errors[i] = NonUniqueSteadyStateError(
-            "steady state is not unique: two smallest singular values "
-            f"{singular[i, 0]:.3e}, {singular[i, 1]:.3e} against scale "
-            f"{gen_scale[i]:.3e}"
-        )
+    refused = np.zeros(len(points), dtype=bool)
+    if not _kernel_certified(blocks, gen_scale[finite]):
+        # The rule itself: the two smallest of the 81 singular values, with
+        # each +k set entering the union twice.
+        values = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+        singular = np.full((len(points), 81), np.nan)
+        singular[finite] = np.sort(np.concatenate(values + values[1:], axis=-1), axis=-1)
+        refused = singular[:, 1] < KERNEL_RATIO_THRESHOLD * gen_scale
+        for i in np.flatnonzero(refused):
+            errors[i] = NonUniqueSteadyStateError(
+                "steady state is not unique: two smallest singular values "
+                f"{singular[i, 0]:.3e}, {singular[i, 1]:.3e} against scale "
+                f"{gen_scale[i]:.3e}"
+            )
     unique = finite & ~refused
 
     # Trace preservation makes the nine population rows of the k = 0 block
@@ -345,14 +405,19 @@ def steady_state(
     from the nonzero entries of the basis restricted to its sector.  The
     block of sector -k is the complex conjugate of the block of +k under the
     index swap rho_rc <-> rho_cr, so only the blocks of k = 0 and k = 1..4
-    are decomposed and each +k set counts twice.  The kernel is verified
+    matter and each +k set counts twice.  The kernel is verified
     one-dimensional through the two smallest of the 81 values before
-    trusting the solution.  The state is then solved in the 19-dimensional
-    k = 0 sector as one square system: the block with its first, redundant
-    population row replaced by the trace row, right-hand side
-    (1, 0, ..., 0); every other sector of rho is zero.  The residual is
-    checked against all 19 rows of the block.  This is steady_states on a
-    stack of one point.
+    trusting the solution: the second must be at least
+    KERNEL_RATIO_THRESHOLD * max|L|.  A shifted-Gram Cholesky certificate
+    (see _kernel_certified) proves that for most stacks; only a stack it
+    cannot clear, such as a point near or past the threshold, has its five
+    blocks decomposed, and the singular values then decide as the rule
+    says and fill the refusal message.  The state is then solved in the
+    19-dimensional k = 0 sector as one square system: the block with its
+    first, redundant population row replaced by the trace row, right-hand
+    side (1, 0, ..., 0); every other sector of rho is zero.  The residual
+    is checked against all 19 rows of the block.  This is steady_states on
+    a stack of one point.
     """
     batch = steady_states([params])
     if batch.errors[0] is not None:

@@ -12,7 +12,6 @@ field and never aborts a sweep or affects the other points.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from .correlations import (
     purity_stack,
     schmidt_stack,
 )
-from .first_order import negativity_first_order, s_rel_peak_first_order
+from .first_order import peak_and_negativity_first_order, s_rel_peak_first_order
 from .liouvillian import SystemParams, evolve, steady_states
 from .operators import joint_index
 from .phasespace import QuadratureSpec, max_s_rel_stack, s_rel
@@ -91,8 +90,7 @@ def _evaluate_chunk(
     oracle = np.full((len(points), 2), math.nan)
     for i, params in enumerate(points):
         try:
-            oracle[i, 0] = s_rel_peak_first_order(params)
-            oracle[i, 1] = negativity_first_order(params)
+            oracle[i] = peak_and_negativity_first_order(params)
         except ValueError as exc:
             errors[i].append(f"oracle: {exc}")
 
@@ -157,13 +155,8 @@ def arnold_sweep(
     delta_range: tuple[float, float] = (-1.0, 1.0),
     steps: tuple[int, int] = (101, 101),
     quad: QuadratureSpec = QuadratureSpec(),
-    jobs: int | None = None,
 ) -> list[SweepRecord]:
-    """Evaluate the coupling-detuning grid in epsilon-major order.
-
-    jobs is deprecated and ignored; passing it warns.
-    """
-    _warn_jobs(jobs)
+    """Evaluate the coupling-detuning grid in epsilon-major order."""
     _validate_range("epsilon", *eps_range)
     _validate_range("delta", *delta_range)
     if steps[0] < 2 or steps[1] < 2:
@@ -181,15 +174,13 @@ def balanced_cut_scan(
     ratio_range: tuple[float, float] = (1.0, 199.0),
     steps: int = 101,
     quad: QuadratureSpec = QuadratureSpec(),
-    jobs: int | None = None,
 ) -> list[SweepRecord]:
     """Scan the damping of spin B with all other rates pinned and balanced.
 
     Requires a base whose A rates and B gain are all equal (the balanced-A
     configuration) with no detuning; gamma_d_b runs log-spaced over the
-    ratio range.  jobs is deprecated and ignored; passing it warns.
+    ratio range.
     """
-    _warn_jobs(jobs)
     if not (base.gamma_g_a == base.gamma_d_a == base.gamma_g_b):
         raise ValueError("cut requires gamma_g_a = gamma_d_a = gamma_g_b")
     if base.delta != 0.0:
@@ -203,14 +194,6 @@ def balanced_cut_scan(
         for r in np.geomspace(ratio_range[0], ratio_range[1], steps)
     ]
     return _run_points(points, quad)
-
-
-def _warn_jobs(jobs: int | None) -> None:
-    if jobs is not None:
-        warnings.warn(
-            "jobs is deprecated and ignored: points are solved in stacked "
-            "chunks in one process", DeprecationWarning, stacklevel=3,
-        )
 
 
 def _run_points(points: list[SystemParams], quad: QuadratureSpec) -> list[SweepRecord]:

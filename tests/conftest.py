@@ -35,6 +35,25 @@ FIG2 = SystemParams(
 BALANCED = SystemParams(epsilon=0.1)
 
 
+def wide_range_params(rng: np.random.Generator) -> SystemParams:
+    """A point drawn like the wide-range single-point benchmark's.
+
+    Rates from 1e-3 to 1e3 with one of them zero in a tenth of the points,
+    |delta| up to 1e6, omega_ref up to 1e3.
+    """
+    rates = {name: float(10.0 ** rng.uniform(-3.0, 3.0))
+             for name in ("gamma_g_a", "gamma_g_b", "gamma_d_b")}
+    if rng.random() < 0.1:
+        rates[str(rng.choice(sorted(rates)))] = 0.0
+    return SystemParams(
+        gamma_d_a=1.0,
+        **rates,
+        epsilon=float(rng.uniform(0.0, 0.3)),
+        delta=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0)),
+        omega_ref=float(rng.uniform(-1e3, 1e3)),
+    )
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Ginibre-sampled full-rank density matrix."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import wide_range_params
+
 import spinsync
-from spinsync import negativity
+from spinsync import SystemParams, negativity
 from spinsync import cli
 from spinsync.cli import build_parser, main
-from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER
+from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER, evaluate_point
 
 FIG2_CONFIG = {
     "gamma_g_a": 100.0,
@@ -50,6 +53,37 @@ class TestSteady:
         assert capsys.readouterr().out == ""
         payload = json.loads(out.read_text())
         assert len(payload["state"]) == 81
+
+    @staticmethod
+    def oracle_json(record, rho) -> str:
+        payload = {
+            "record": dataclasses.asdict(record),
+            "state": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)],
+        }
+        return json.dumps(payload, indent=2)
+
+    def test_output_is_json_dumps_byte_for_byte(self, tmp_path):
+        cfg = write_json(tmp_path, FIG2_CONFIG)
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        record, rho = evaluate_point(SystemParams(**FIG2_CONFIG))
+        assert out.read_text() == self.oracle_json(record, rho) + "\n"
+
+    def test_signed_zeros_and_extreme_exponents(self):
+        record, rho = evaluate_point(SystemParams(**FIG2_CONFIG))
+        rho = rho.copy()
+        rho.imag[rho.imag == 0.0] = -0.0
+        rho.real[0, 1], rho.imag[1, 0] = 1e-300, -1.5e16
+        text = cli._steady_json(record, rho)
+        assert "-0.0" in text and "1e-300" in text
+        assert text == self.oracle_json(record, rho)
+
+    def test_wide_range_draws(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            record, rho = evaluate_point(wide_range_params(rng))
+            if rho is not None:
+                assert cli._steady_json(record, rho) == self.oracle_json(record, rho)
 
     def test_solver_failure_exits_two(self, tmp_path, capsys):
         # without any gain the dark levels leave a degenerate kernel
@@ -203,15 +237,14 @@ class TestSweepCommands:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_option_is_deprecated(self, tmp_path, capsys):
+    def test_jobs_option_is_removed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, FIG2_CONFIG)
-        argv = ["sweep", "--config", cfg, "--eps-steps", "2", "--delta-steps", "2"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(argv + ["--out", str(a)]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(argv + ["--out", str(b), "--jobs", "4"]) == 0
-        assert capsys.readouterr().err == "warning: --jobs is deprecated and ignored\n"
-        assert a.read_bytes() == b.read_bytes()
+        out = tmp_path / "a.csv"
+        argv = ["sweep", "--config", cfg, "--eps-steps", "2", "--delta-steps", "2",
+                "--out", str(out), "--jobs", "4"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_rejects_bad_grid(self, tmp_path, capsys):
         cfg = write_json(tmp_path, FIG2_CONFIG)

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm, lstsq
 
-from conftest import BALANCED, FIG2, density_matrices, random_density, system_params
+from conftest import (
+    BALANCED,
+    FIG2,
+    density_matrices,
+    random_density,
+    system_params,
+    wide_range_params,
+)
 from quadrature import quadrature_s_rel
 from spinsync import (
     IntegrationStepError,
@@ -23,7 +30,7 @@ from spinsync import (
     s_rel_peak_first_order,
     steady_state,
 )
-from spinsync import sweep
+from spinsync import liouvillian, sweep
 from spinsync.liouvillian import (
     EXCITATION_SECTORS,
     KERNEL_RATIO_THRESHOLD,
@@ -208,18 +215,30 @@ def assert_records_match_per_point(records, points):
                 name, params)
 
 
-def wide_range_params(rng: np.random.Generator) -> SystemParams:
-    rates = {name: float(10.0 ** rng.uniform(-3.0, 3.0))
-             for name in ("gamma_g_a", "gamma_g_b", "gamma_d_b")}
-    if rng.random() < 0.1:
-        rates[str(rng.choice(sorted(rates)))] = 0.0
-    return SystemParams(
-        gamma_d_a=1.0,
-        **rates,
-        epsilon=float(rng.uniform(0.0, 0.3)),
-        delta=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0)),
-        omega_ref=float(rng.uniform(-1e3, 1e3)),
+def degenerate_params(rng: np.random.Generator) -> SystemParams:
+    """A point on or near a degenerate kernel, one of three kinds.
+
+    Both gains zeroed; spin B's gain zeroed with omega_ref = 1, which leaves
+    spin B a rotating two-state kernel; or an uncoupled point with one rate
+    scaled so that the deciding singular value over max|L| spans about 1e-9
+    to 1e-6, around KERNEL_RATIO_THRESHOLD.
+    """
+    kind = rng.integers(3)
+    if kind == 0:
+        return dataclasses.replace(wide_range_params(rng), gamma_g_a=0.0, gamma_g_b=0.0)
+    if kind == 1:
+        return dataclasses.replace(wide_range_params(rng), gamma_g_b=0.0, omega_ref=1.0)
+    params = SystemParams(
+        gamma_g_a=float(10.0 ** rng.uniform(-1.0, 1.0)),
+        gamma_g_b=float(10.0 ** rng.uniform(-1.0, 1.0)),
+        gamma_d_b=float(10.0 ** rng.uniform(-1.0, 1.0)),
+        delta=float(rng.uniform(-10.0, 10.0)),
+        omega_ref=float(rng.uniform(-10.0, 10.0)),
     )
+    scale = np.max(np.abs(build_generator(params)))
+    rate = str(rng.choice(["gamma_g_a", "gamma_g_b", "gamma_d_b"]))
+    return dataclasses.replace(
+        params, **{rate: float(scale * 10.0 ** rng.uniform(-9.0, -6.0))})
 
 
 def excitation_difference(index: int) -> int:
@@ -543,6 +562,94 @@ class TestPerPointOracle:
         refused = sum(r.status.startswith("solve: steady state is not unique")
                       for r in records)
         assert 0 < refused < 300
+
+
+def count_svds(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every np.linalg.svd call from now on."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return shapes
+
+
+def stack_outcomes(points, size: int) -> list[tuple[bytes, bytes, str]]:
+    """State bytes, residual bytes and error repr of each point, in stacks of size."""
+    out = []
+    for start in range(0, len(points), size):
+        batch = steady_states(points[start:start + size])
+        out += [(rho.tobytes(), residual.tobytes(), repr(error))
+                for rho, residual, error in zip(batch.states, batch.residuals,
+                                                batch.errors)]
+    return out
+
+
+class TestKernelCertificate:
+    """The Cholesky certificate against the SVD rule that it stands in for."""
+
+    def test_reference_points_take_no_svd(self, monkeypatch):
+        shapes = count_svds(monkeypatch)
+        assert steady_states([FIG2, BALANCED]).errors == (None, None)
+        assert shapes == []
+
+    def test_seeded_tongue_takes_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(602)
+        base = dataclasses.replace(FIG2, omega_ref=float(rng.uniform(-1.0, 1.0)))
+        shift = float(rng.uniform(-0.1, 0.1))
+        points = [dataclasses.replace(base, epsilon=float(e), delta=float(d))
+                  for e in np.linspace(0.0, 0.1, 11)
+                  for d in np.linspace(-1.0 + shift, 1.0 + shift, 11)]
+        shapes = count_svds(monkeypatch)
+        outcomes = stack_outcomes(points, sweep.CHUNK_SIZE)
+        assert shapes == []
+        assert all(error == "None" for _, _, error in outcomes)
+
+    def test_same_outcomes_as_the_svd_rule(self, monkeypatch):
+        # Wide-range draws like the single-point benchmark's, and points on
+        # or near a degenerate kernel; alone and in chunks.  Forcing the
+        # SVDs must not change one bit or one refusal text.
+        rng = np.random.default_rng(1010)
+        points = ([wide_range_params(rng) for _ in range(3000)]
+                  + [degenerate_params(rng) for _ in range(600)])
+        verdicts = []
+        certified = liouvillian._kernel_certified
+
+        def recording(blocks, gen_scale):
+            verdicts.append(certified(blocks, gen_scale))
+            return verdicts[-1]
+
+        monkeypatch.setattr(liouvillian, "_kernel_certified", recording)
+        alone = stack_outcomes(points, 1)
+        chunked = stack_outcomes(points, sweep.CHUNK_SIZE)
+        refused = ["NonUniqueSteadyStateError" in error for _, _, error in alone]
+        # Every branch is taken: certified, refused, and sent to the SVDs
+        # but unique after all.
+        assert 0 < sum(verdicts[:len(points)]) < len(points) - sum(refused)
+        assert sum(refused) > 0 and not any(v and r for v, r in zip(verdicts, refused))
+        monkeypatch.setattr(liouvillian, "_kernel_certified", lambda *args: False)
+        assert stack_outcomes(points, 1) == alone
+        assert stack_outcomes(points, sweep.CHUNK_SIZE) == chunked
+
+    def test_same_decisions_as_the_nine_block_rule(self):
+        # The per-point path decomposes all nine blocks.  On a degenerate
+        # point the printed noise values may differ (a +k set counts twice
+        # here), never the decision, its cause or the state.
+        rng = np.random.default_rng(2020)
+        points = ([wide_range_params(rng) for _ in range(3000)]
+                  + [degenerate_params(rng) for _ in range(600)])
+        for params, (state, _, error) in zip(points, stack_outcomes(points, 1)):
+            try:
+                rho, _ = per_point_steady_state(params)
+            except (NonUniqueSteadyStateError, LinearSolveError,
+                    InvalidStateError) as exc:
+                assert (error.partition(" values ")[0]
+                        == repr(exc).partition(" values ")[0]), params
+                continue
+            assert error == "None" and state == rho.tobytes(), params
 
 
 class TestEvolve:

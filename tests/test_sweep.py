@@ -160,10 +160,9 @@ class TestArnoldSweep:
             assert records == outputs[0][0]
             assert data == outputs[0][1]
 
-    def test_jobs_keyword_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="jobs is deprecated"):
-            records = arnold_sweep(FIG2, jobs=2, **SMALL_GRID)
-        assert records == arnold_sweep(FIG2, **SMALL_GRID)
+    def test_jobs_keyword_is_removed(self):
+        with pytest.raises(TypeError, match="jobs"):
+            arnold_sweep(FIG2, jobs=2, **SMALL_GRID)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -248,10 +247,9 @@ class TestBalancedCutScan:
         with pytest.raises(ValueError):
             balanced_cut_scan(base, **kwargs)
 
-    def test_jobs_keyword_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="jobs is deprecated"):
-            records = balanced_cut_scan(BALANCED, steps=3, jobs=2)
-        assert records == balanced_cut_scan(BALANCED, steps=3)
+    def test_jobs_keyword_is_removed(self):
+        with pytest.raises(TypeError, match="jobs"):
+            balanced_cut_scan(BALANCED, steps=3, jobs=2)
 
 
 class TestDynamicsTrace:
