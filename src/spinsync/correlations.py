@@ -1,6 +1,16 @@
 """Entanglement and correlation measures on two-spin density matrices.
 
 Entropies use the natural logarithm throughout.
+
+The single-state functions accept any 9x9 state.  The sector_* functions
+measure stacks of k = 0 sector states x (n, 19), as the steady-state
+engine returns them, on the 3x3 blocks of operators.M_BLOCKS and
+operators.PARTIAL_TRANSPOSE_BLOCKS, with no 9x9 eigensolver:
+- the M blocks' spectrum is the state's, so one stacked eigh of them gives
+  S(AB) and the dominant eigenvector, which lies in one block;
+- the partial-transpose blocks' spectrum gives the negativity;
+- rho_A and rho_B are diagonal, so their entropies come from the nine
+  populations, and the purity is sum |x|^2.
 """
 
 from __future__ import annotations
@@ -10,80 +20,51 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    PARTIAL_TRANSPOSE_BLOCKS,
     InvalidStateError,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
+    sector_populations,
+    state_blocks,
 )
 
 EIGENVALUE_FLOOR = -1e-8
 
-# Each measure is written once, for a stack of states (..., 9, 9), and the
-# single-state functions evaluate it on one state.
-
-
-def negativity_stack(rhos: np.ndarray, site: str = "A") -> np.ndarray:
-    """Negativity of each state of a stack (..., 9, 9)."""
-    eig = hermitian_eigenvalues(partial_transpose(rhos, site))
-    value = 0.5 * (np.sum(np.abs(eig), axis=-1) - 1.0)
-    return np.where(value > 0.0, value, 0.0)
-
 
 def negativity(rho: np.ndarray, site: str = "A") -> float:
     """Entanglement negativity (sum |eig(rho^T_site)| - 1) / 2, clipped at 0."""
-    return float(negativity_stack(rho, site))
+    eig = hermitian_eigenvalues(partial_transpose(rho, site))
+    return max(0.0, 0.5 * (float(np.sum(np.abs(eig))) - 1.0))
 
 
-def von_neumann_entropy_stack(rhos: np.ndarray) -> np.ndarray:
-    """-Tr rho ln rho of each state of a stack (..., n, n), in nats."""
-    eig = hermitian_eigenvalues(rhos)
-    lowest = eig[..., 0]
-    if np.any(lowest < EIGENVALUE_FLOOR):
-        raise InvalidStateError(
-            f"eigenvalue {np.min(lowest):.3e} below tolerance {EIGENVALUE_FLOOR:.1e}"
-        )
-    p = np.maximum(eig, 0.0)
-    positive = p > 0.0
-    terms = (p * np.log(np.where(positive, p, 1.0))).reshape(-1, p.shape[-1])
-    # The positive eigenvalues are a suffix of the ascending spectrum.  Each
-    # state's terms are summed as a row of their own length, so the rounding
-    # of the sum does not depend on how many eigenvalues are zero.
-    counts = positive.sum(axis=-1).reshape(-1)
-    total = np.empty(len(counts))
-    for count in set(counts.tolist()):
-        rows = counts == count
-        total[rows] = np.sum(terms[rows, p.shape[-1] - count:], axis=-1)
-    return -total.reshape(lowest.shape)
+def _entropy_terms(p: np.ndarray) -> np.ndarray:
+    # -p ln p of probabilities clipped at 0, with 0 ln 0 = 0.
+    p = np.maximum(p, 0.0)
+    return -p * np.log(np.where(p > 0.0, p, 1.0))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr rho ln rho in nats; eigenvalues below -1e-8 are rejected."""
-    return float(von_neumann_entropy_stack(rho))
-
-
-def mutual_information_stack(rhos: np.ndarray) -> np.ndarray:
-    """I(A:B) of each state of a stack (..., 9, 9), clipped at 0."""
-    total = von_neumann_entropy_stack(rhos)
-    s_a, s_b = von_neumann_entropy_stack(
-        np.stack([partial_trace(rhos, "A"), partial_trace(rhos, "B")])
-    )
-    value = s_a + s_b - total
-    return np.where(value > 0.0, value, 0.0)
+    eig = hermitian_eigenvalues(rho)
+    if eig[0] < EIGENVALUE_FLOOR:
+        raise InvalidStateError(
+            f"eigenvalue {eig[0]:.3e} below tolerance {EIGENVALUE_FLOOR:.1e}"
+        )
+    return float(np.sum(_entropy_terms(eig)))
 
 
 def mutual_information(rho: np.ndarray) -> float:
     """I(A:B) = S(A) + S(B) - S(AB), clipped at 0 against roundoff."""
-    return float(mutual_information_stack(rho))
-
-
-def purity_stack(rhos: np.ndarray) -> np.ndarray:
-    """Tr rho^2 of each state of a stack (..., n, n)."""
-    return np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
+    value = (von_neumann_entropy(partial_trace(rho, "A"))
+             + von_neumann_entropy(partial_trace(rho, "B"))
+             - von_neumann_entropy(rho))
+    return max(0.0, value)
 
 
 def purity(rho: np.ndarray) -> float:
     """Tr rho^2."""
-    return float(purity_stack(rho))
+    return float(np.trace(rho @ rho).real)
 
 
 @dataclass(frozen=True)
@@ -101,22 +82,9 @@ PURITY_WARNING_THRESHOLD = 0.9
 DEFAULT_RANK_THRESHOLD = 1e-3
 
 
-def schmidt_stack(
-    rhos: np.ndarray, rank_threshold: float = DEFAULT_RANK_THRESHOLD
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt coefficients, rank and dominant weight of each state of a stack.
-
-    For rhos of shape (..., 9, 9) returns coefficients (..., 3), descending,
-    ranks (...) and the leading eigenvalues (...); see schmidt_analysis.
-    """
+def _check_rank_threshold(rank_threshold: float) -> None:
     if not 0.0 < rank_threshold < 1.0:
         raise ValueError("rank_threshold must lie in (0, 1)")
-    eig, vecs = np.linalg.eigh(0.5 * (rhos + np.swapaxes(rhos, -1, -2).conj()))
-    dominant = vecs[..., :, -1]
-    coeffs = np.linalg.svd(dominant.reshape(dominant.shape[:-1] + (3, 3)),
-                           compute_uv=False)
-    ranks = np.sum(coeffs > rank_threshold * coeffs[..., :1], axis=-1)
-    return coeffs, ranks, eig[..., -1]
 
 
 def schmidt_analysis(
@@ -130,12 +98,71 @@ def schmidt_analysis(
     A mixed_warning flags states whose purity is below 0.9, where a
     single-vector analysis stops being representative.
     """
-    coeffs, rank, weight = schmidt_stack(rho, rank_threshold)
+    _check_rank_threshold(rank_threshold)
+    eig, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    coeffs = np.linalg.svd(vecs[:, -1].reshape(3, 3), compute_uv=False)
     pur = purity(rho)
     return SchmidtAnalysis(
         coefficients=coeffs,
-        rank=int(rank),
-        dominant_weight=float(weight),
+        rank=int(np.sum(coeffs > rank_threshold * coeffs[0])),
+        dominant_weight=float(eig[-1]),
         purity=pur,
         mixed_warning=bool(pur < PURITY_WARNING_THRESHOLD),
     )
+
+
+def _block_sum(values: np.ndarray) -> np.ndarray:
+    # Sum of each state's (5, 3) block values, as one contiguous row: numpy
+    # adds a row in an order that does not depend on the number of rows,
+    # which a sum over two axes does not promise.
+    return np.sum(values.reshape(len(values), 15), axis=-1)
+
+
+def sector_negativity(x: np.ndarray) -> np.ndarray:
+    """Negativity of each sector state x (n, 19), from the partial-transpose blocks."""
+    eig = np.linalg.eigvalsh(state_blocks(x, PARTIAL_TRANSPOSE_BLOCKS))
+    value = 0.5 * (_block_sum(np.abs(eig)) - 1.0)
+    return np.where(value > 0.0, value, 0.0)
+
+
+def sector_mutual_information(x: np.ndarray, block_eigenvalues: np.ndarray) -> np.ndarray:
+    """I(A:B) of each sector state x (n, 19), clipped at 0.
+
+    block_eigenvalues (n, 5, 3) are the eigenvalues of the state's M
+    blocks; their zero padding adds nothing to S(AB).
+    """
+    populations = sector_populations(x)
+    local = _entropy_terms(np.concatenate(
+        [populations.sum(axis=-1), populations.sum(axis=-2)], axis=-1))
+    total = _entropy_terms(block_eigenvalues)
+    value = np.sum(local, axis=-1) - _block_sum(total)
+    return np.where(value > 0.0, value, 0.0)
+
+
+def sector_purity(x: np.ndarray) -> np.ndarray:
+    """Tr rho^2 = sum |x|^2 of each sector state x (n, 19)."""
+    return np.sum(x.real**2 + x.imag**2, axis=-1)
+
+
+def sector_schmidt(
+    block_eigenvalues: np.ndarray,
+    block_eigenvectors: np.ndarray,
+    rank_threshold: float = DEFAULT_RANK_THRESHOLD,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt coefficients, rank and dominant weight of sector states.
+
+    From the eigh of each state's M blocks, eigenvalues (n, 5, 3) and
+    eigenvectors (n, 5, 3, 3), returns coefficients (n, 3), descending,
+    ranks (n) and the leading eigenvalues (n); see schmidt_analysis.  The
+    dominant eigenvector lies in one M block, so its amplitude matrix holds
+    at most one entry per row and per column, and its singular values are
+    the absolute values of its components.  An eigenvalue tied exactly
+    across blocks goes to the first of them in the order M = 2, 1, 0, -1, -2.
+    """
+    _check_rank_threshold(rank_threshold)
+    tops = block_eigenvalues[..., -1]
+    block = np.argmax(tops, axis=-1)
+    rows = np.arange(len(block))
+    coeffs = -np.sort(-np.abs(block_eigenvectors[rows, block, :, -1]), axis=-1)
+    ranks = np.sum(coeffs > rank_threshold * coeffs[:, :1], axis=-1)
+    return coeffs, ranks, tops[rows, block]

@@ -26,6 +26,8 @@ SREL_COEFF = 9.0 * np.pi / 128.0
 
 STEADY = None
 
+NO_STEADY_STATE = "coherences have no steady state: zero decay rate"
+
 
 @dataclass(frozen=True)
 class CoherencePair:
@@ -51,7 +53,7 @@ def coherences(params: SystemParams, t: float | None = STEADY) -> CoherencePair:
     """
     lam_plus, lam_minus = decay_rates(params)
     if lam_plus == 0 or lam_minus == 0:
-        raise ValueError("coherences have no steady state: zero decay rate")
+        raise ValueError(NO_STEADY_STATE)
     if t is STEADY:
         return CoherencePair(mu_plus=1.0 / lam_plus, mu_minus=-1.0 / lam_minus)
     return CoherencePair(
@@ -69,30 +71,54 @@ def s_rel_first_order(
     return SREL_COEFF * params.epsilon * np.real(np.exp(1j * phi) * amplitude)
 
 
-def _s_rel_peak(epsilon: float, mu: CoherencePair) -> float:
-    return float(SREL_COEFF * epsilon * abs(mu.mu_plus + np.conj(mu.mu_minus)))
-
-
-def _negativity(epsilon: float, mu: CoherencePair) -> float:
-    return epsilon * (abs(mu.mu_plus) + abs(mu.mu_minus))
-
-
 def s_rel_peak_first_order(params: SystemParams, t: float | None = STEADY) -> float:
     """First-order peak over phi, SREL_COEFF*epsilon*|mu_plus + conj(mu_minus)|."""
-    return _s_rel_peak(params.epsilon, coherences(params, t))
+    mu = coherences(params, t)
+    return float(SREL_COEFF * params.epsilon * abs(mu.mu_plus + np.conj(mu.mu_minus)))
 
 
 def negativity_first_order(params: SystemParams, t: float | None = STEADY) -> float:
     """First-order negativity epsilon*(|mu_plus| + |mu_minus|)."""
-    return _negativity(params.epsilon, coherences(params, t))
-
-
-def peak_and_negativity_first_order(
-    params: SystemParams, t: float | None = STEADY
-) -> tuple[float, float]:
-    """s_rel_peak_first_order and negativity_first_order from one coherences solve."""
     mu = coherences(params, t)
-    return _s_rel_peak(params.epsilon, mu), _negativity(params.epsilon, mu)
+    return params.epsilon * (abs(mu.mu_plus) + abs(mu.mu_minus))
+
+
+def _divide(numerator: float, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # numerator / (re + i im) elementwise, by Smith's algorithm written as
+    # Python's complex division writes it, so each value has the bits that
+    # coherences gives it.  Both branches are computed and one is kept.
+    by_re = np.abs(re) >= np.abs(im)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio_re, ratio_im = im / re, re / im
+        denom_re, denom_im = re + im * ratio_re, re * ratio_im + im
+        out_re = np.where(by_re, (numerator + 0.0 * ratio_re) / denom_re,
+                          (numerator * ratio_im + 0.0) / denom_im)
+        out_im = np.where(by_re, (0.0 - numerator * ratio_re) / denom_re,
+                          (0.0 * ratio_im - numerator) / denom_im)
+    return out_re, out_im
+
+
+def peak_and_negativity_first_order(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steady s_rel_peak_first_order and negativity_first_order of a stack.
+
+    weights is (n, 7), one row per point in SystemParams field order.
+    Returns the two values (n, 2), bitwise those of the single-point
+    functions, and a mask (n) of the points where they are defined; where a
+    decay rate vanishes (NO_STEADY_STATE) the values are nan.
+    """
+    gamma_g_a, gamma_d_a, gamma_g_b, gamma_d_b, epsilon, delta = weights.T[:6]
+    # decay_rates, with lam_minus's imaginary part 0 - delta as Python
+    # forms it.
+    plus = 0.5 * (gamma_d_a + gamma_g_b), delta
+    minus = 0.5 * (gamma_g_a + gamma_d_b), 0.0 - delta
+    defined = ((plus[0] != 0.0) | (plus[1] != 0.0)) & ((minus[0] != 0.0) | (minus[1] != 0.0))
+    mu_plus, mu_minus = _divide(1.0, *plus), _divide(-1.0, *minus)
+    values = np.stack([
+        SREL_COEFF * epsilon * np.hypot(mu_plus[0] + mu_minus[0], mu_plus[1] - mu_minus[1]),
+        epsilon * (np.hypot(*mu_plus) + np.hypot(*mu_minus)),
+    ], axis=-1)
+    values[~defined] = np.nan
+    return values, defined
 
 
 def first_order_state(params: SystemParams, t: float | None = STEADY) -> np.ndarray:

@@ -23,8 +23,11 @@ rho_rc <-> rho_cr and has the same singular values: five SVDs, of k = 0 and
 of k = 1..4, give all nine sets.  A Cholesky factorization of shifted Gram
 matrices of those five blocks usually proves the kernel one-dimensional
 without them, and the SVDs run only on a stack it cannot clear.
-steady_states solves a stack of points with stacked LAPACK calls, and
-steady_state is that solve for a stack of one point.
+steady_states solves a stack of points with stacked LAPACK calls and
+returns each state as its 19 k = 0 entries, with the eigen-decomposition
+of its 3x3 blocks in M = m_A + m_B, which the density-matrix checks and
+the measures share; steady_state is that solve for a stack of one point,
+laid out as a 9x9 matrix.
 """
 
 from __future__ import annotations
@@ -36,11 +39,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    M_BLOCKS,
     M_VALUES,
     LinearSolveError,
-    density_matrix_errors,
     embed,
+    sector_hermitian_part,
+    sector_matrix,
+    sector_state_errors,
+    sector_trace,
     spin1_operators,
+    state_blocks,
     validate_density_matrix,
 )
 
@@ -212,39 +220,76 @@ _K0_TRACE_GRAM = np.outer(_K0_TRACE, _K0_TRACE)
 class SteadyStates:
     """Steady states of a stack of points, in input order.
 
-    errors[i] is None when states[i] is the unique steady state with
-    residual residuals[i]; otherwise it is the exception steady_state
-    raises for that point, states[i] is zero and residuals[i] is nan.
+    errors[i] is None when point i has a unique steady state, held by its
+    19 k = 0 entries sectors[i] (see operators.SECTOR_ENTRIES), with
+    residual residuals[i].  Otherwise errors[i] is the exception
+    steady_state raises for that point, sectors[i] is zero and
+    residuals[i] is nan.  block_eigenvalues (n, 5, 3), ascending, and
+    block_eigenvectors (n, 5, 3, 3) are those of each state's
+    operators.M_BLOCKS, which give its whole spectrum; they are zero for a
+    refused point.
     """
 
-    states: np.ndarray = field(repr=False)
+    sectors: np.ndarray = field(repr=False)
     residuals: np.ndarray
     errors: tuple[Exception | None, ...]
+    block_eigenvalues: np.ndarray = field(repr=False)
+    block_eigenvectors: np.ndarray = field(repr=False)
+
+    @property
+    def states(self) -> np.ndarray:
+        """The states as 9x9 matrices, (n, 9, 9)."""
+        return sector_matrix(self.sectors)
 
 
-def steady_states(points: Sequence[SystemParams]) -> SteadyStates:
+def check_weights(weights: np.ndarray) -> None:
+    """Refuse (n, 7) weights as SystemParams refuses the first invalid row."""
+    valid = (np.all(np.isfinite(weights), axis=-1)
+             & np.all(weights[:, :5] >= 0.0, axis=-1) & (weights[:, 1] > 0.0))
+    bad = np.flatnonzero(~valid)
+    if len(bad):
+        SystemParams(*weights[bad[0]].tolist())
+
+
+def as_weights(points: Sequence[SystemParams] | np.ndarray) -> np.ndarray:
+    """The (n, 7) weights of a sequence of points, one row of fields each.
+
+    An array is taken as weights already; its rows must be valid points.
+    """
+    if isinstance(points, np.ndarray):
+        return points
+    # The reshape keeps the field axis of an empty stack.
+    return np.array([_weights(p) for p in points], dtype=float).reshape(len(points), 7)
+
+
+def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
     """Unique steady states of a stack of points, solved together.
 
-    Every point gets the same result, bit for bit, as it gets alone; a point
-    that is refused or fails does not affect the others.  LAPACK fails a
-    whole stack when one member fails (a singular matrix, say), so such a
-    stack is solved again in halves until the failure is pinned on its
-    point.  A point whose generator overflows to non-finite entries is
-    refused before any LAPACK call.  An empty stack gives empty arrays.
-    See steady_state for the method.
+    points is a sequence of SystemParams or their (n, 7) weights (see
+    as_weights).  Every point gets the same result, bit for bit, as it gets
+    alone; a point that is refused or fails does not affect the others.
+    LAPACK fails a whole stack when one member fails (a singular matrix,
+    say), so such a stack is solved again in halves until the failure is
+    pinned on its point.  A point whose generator overflows to non-finite
+    entries is refused before any LAPACK call.  An empty stack gives empty
+    arrays.  See steady_state for the method.
     """
+    weights = as_weights(points)
     try:
-        return _solve_stack(points)
+        return _solve_stack(weights)
     except np.linalg.LinAlgError as exc:
-        if len(points) == 1:
-            return SteadyStates(np.zeros((1, 9, 9), dtype=complex),
-                                np.full(1, np.nan), (exc,))
-        halves = [steady_states(points[:len(points) // 2]),
-                  steady_states(points[len(points) // 2:])]
+        if len(weights) == 1:
+            return SteadyStates(np.zeros((1, 19), dtype=complex), np.full(1, np.nan),
+                                (exc,), np.zeros((1, 5, 3)),
+                                np.zeros((1, 5, 3, 3), dtype=complex))
+        halves = [steady_states(weights[:len(weights) // 2]),
+                  steady_states(weights[len(weights) // 2:])]
         return SteadyStates(
-            np.concatenate([h.states for h in halves]),
+            np.concatenate([h.sectors for h in halves]),
             np.concatenate([h.residuals for h in halves]),
             halves[0].errors + halves[1].errors,
+            np.concatenate([h.block_eigenvalues for h in halves]),
+            np.concatenate([h.block_eigenvectors for h in halves]),
         )
 
 
@@ -326,26 +371,24 @@ def _kernel_certified(blocks: list[np.ndarray], gen_scale: np.ndarray) -> bool:
     return True
 
 
-def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
-    # The reshape keeps the field axis of an empty stack.
-    weights = np.array([_weights(p) for p in points], dtype=float).reshape(len(points), 7)
+def _solve_stack(weights: np.ndarray) -> SteadyStates:
     all_blocks, finite, gen_scale = _sector_blocks(weights)
     # The block of -k has the singular values of the block of +k (see the
     # module docstring), so k = 0 and the four +k blocks decide uniqueness.
     blocks = [b[finite] for b in all_blocks[:1] + all_blocks[1::2]]
 
-    errors: list[Exception | None] = [None] * len(points)
+    errors: list[Exception | None] = [None] * len(weights)
     for i in np.flatnonzero(~finite):
         errors[i] = ValueError(
             "generator has non-finite entries: the parameters overflow "
             "double precision"
         )
-    refused = np.zeros(len(points), dtype=bool)
+    refused = np.zeros(len(weights), dtype=bool)
     if not _kernel_certified(blocks, gen_scale[finite]):
         # The rule itself: the two smallest of the 81 singular values, with
         # each +k set entering the union twice.
         values = [np.linalg.svd(b, compute_uv=False) for b in blocks]
-        singular = np.full((len(points), 81), np.nan)
+        singular = np.full((len(weights), 81), np.nan)
         singular[finite] = np.sort(np.concatenate(values + values[1:], axis=-1), axis=-1)
         refused = singular[:, 1] < KERNEL_RATIO_THRESHOLD * gen_scale
         for i in np.flatnonzero(refused):
@@ -359,24 +402,20 @@ def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
     # Trace preservation makes the nine population rows of the k = 0 block
     # sum to zero, so the first, <+1,+1|rho|+1,+1>, is redundant: the trace
     # row takes its place and the sector system becomes square.
-    sector, block = EXCITATION_SECTORS[0], blocks[0][unique[finite]]
+    block = blocks[0][unique[finite]]
     square = block.copy()
-    square[:, 0] = trace_row()[sector]
-    rhs = np.zeros((len(square), len(sector), 1), dtype=complex)
+    square[:, 0] = _K0_TRACE
+    rhs = np.zeros((len(square), len(_K0_TRACE), 1), dtype=complex)
     rhs[:, 0] = 1.0
     x = np.linalg.solve(square, rhs)[..., 0]
+    # Entry by entry as on the 9x9 matrix, so the state keeps its bits.
+    x = sector_hermitian_part(x)
+    x = x / sector_trace(x).real[:, None]
 
-    vec = np.zeros((len(square), 81), dtype=complex)
-    vec[:, sector] = x
-    rho = vec.reshape(-1, 9, 9)
-    rho = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
-    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-
-    residual = np.linalg.norm(
-        (block @ rho.reshape(-1, 81)[:, sector, None])[..., 0], axis=-1
-    )
+    residual = np.linalg.norm((block @ x[..., None])[..., 0], axis=-1)
     tol = 1e-10 * (1.0 + gen_scale[unique])
-    invalid = density_matrix_errors(rho)
+    eigenvalues, eigenvectors = np.linalg.eigh(state_blocks(x, M_BLOCKS))
+    invalid = sector_state_errors(x, eigenvalues)
     for j, i in enumerate(np.flatnonzero(unique)):
         # Written so that a nan residual is refused too.
         if not residual[j] <= tol[j]:
@@ -388,11 +427,15 @@ def _solve_stack(points: Sequence[SystemParams]) -> SteadyStates:
             errors[i] = invalid[j]
 
     solved = np.array([e is None for e in errors], dtype=bool)
-    states = np.zeros((len(points), 9, 9), dtype=complex)
-    states[solved] = rho[solved[unique]]
-    residuals = np.full(len(points), np.nan)
-    residuals[solved] = residual[solved[unique]]
-    return SteadyStates(states, residuals, tuple(errors))
+    kept = solved[unique]
+
+    def scatter(values: np.ndarray, fill: float) -> np.ndarray:
+        out = np.full((len(weights),) + values.shape[1:], fill, dtype=values.dtype)
+        out[solved] = values[kept]
+        return out
+
+    return SteadyStates(scatter(x, 0.0), scatter(residual, np.nan), tuple(errors),
+                        scatter(eigenvalues, 0.0), scatter(eigenvectors, 0.0))
 
 
 def steady_state(
@@ -416,8 +459,10 @@ def steady_state(
     19-dimensional k = 0 sector as one square system: the block with its
     first, redundant population row replaced by the trace row, right-hand
     side (1, 0, ..., 0); every other sector of rho is zero.  The residual
-    is checked against all 19 rows of the block.  This is steady_states on
-    a stack of one point.
+    is checked against all 19 rows of the block, and the density-matrix
+    checks take the lowest eigenvalue from the 3x3 blocks of rho in
+    M = m_A + m_B.  This is steady_states on a stack of one point, whose
+    19 entries are laid out as the 9x9 matrix here.
     """
     batch = steady_states([params])
     if batch.errors[0] is not None:

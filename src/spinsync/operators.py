@@ -4,6 +4,12 @@ Basis convention: single-spin index 0, 1, 2 <-> m = +1, 0, -1, so Sz is
 diagonal with descending entries.  Two-spin product states |m_A, m_B> live
 at flat index 3*idx(m_A) + idx(m_B); |0,0> sits at index 4.  All matrices
 are dense complex ndarrays in row-major layout.
+
+A state that commutes with Sz_A + Sz_B, as every steady state and every
+state reached from |0,0> does, is held by its 19 k = 0 entries (see
+SECTOR_ENTRIES).  Such a state and its partial transpose are then
+block-diagonal, with blocks of sizes 1, 2, 3, 2, 1 made of those entries
+(M_BLOCKS, PARTIAL_TRANSPOSE_BLOCKS).
 """
 
 from __future__ import annotations
@@ -122,34 +128,115 @@ def hermitian_eigenvalues(matrix: np.ndarray, herm_tol: float = 1e-8) -> np.ndar
     return np.linalg.eigvalsh(matrix)
 
 
-def density_matrix_errors(
-    rhos: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    psd_tol: float = 1e-10,
-) -> list[InvalidStateError | None]:
-    """The first violated density-matrix invariant of each matrix in a stack.
+# The k = 0 sector of a pair state: the 19 entries rho_rc whose row and
+# column carry the same total excitation M = m_A + m_B.  Every state the
+# master equation reaches from |0,0><0,0| or relaxes to lies in it.
+_M_TOTAL = np.array([m_a + m_b for m_a in M_VALUES for m_b in M_VALUES])
+_M_DIFFERENCE = np.array([m_a - m_b for m_a in M_VALUES for m_b in M_VALUES])
 
-    rhos is (m, n, n); entry i is None when rhos[i] is Hermitian, unit-trace
-    and PSD, else the InvalidStateError that validate_density_matrix raises.
+SECTOR_ENTRIES = np.flatnonzero(np.equal.outer(_M_TOTAL, _M_TOTAL).reshape(-1))
+"""Vec indices 9 r + c of the 19 k = 0 entries, ascending.
+
+A sector state x of shape (..., 19) holds rho.reshape(..., 81)[...,
+SECTOR_ENTRIES]; every other entry of rho is zero.
+"""
+
+_POSITION = np.full(PAIR_DIM**2, len(SECTOR_ENTRIES))
+_POSITION[SECTOR_ENTRIES] = np.arange(len(SECTOR_ENTRIES))
+
+# Positions in x of the diagonal rho_jj, and of rho_cr for each rho_rc.
+_SECTOR_DIAGONAL = _POSITION[(PAIR_DIM + 1) * np.arange(PAIR_DIM)]
+_SECTOR_ADJOINT = _POSITION[PAIR_DIM * (SECTOR_ENTRIES % PAIR_DIM) + SECTOR_ENTRIES // PAIR_DIM]
+
+
+def _block_table(labels: np.ndarray, vec_index) -> np.ndarray:
+    # (5, 3, 3) positions in x of the blocks of the joint indices sharing a
+    # label, labels 2, 1, 0, -1, -2 in turn; blocks of size 1 and 2 are
+    # padded with position 19, which state_blocks fills with zero.
+    table = np.full((5, SINGLE_DIM, SINGLE_DIM), len(SECTOR_ENTRIES))
+    for block, label in enumerate(range(2, -3, -1)):
+        members = np.flatnonzero(labels == label)
+        for i, row in enumerate(members):
+            for j, col in enumerate(members):
+                table[block, i, j] = _POSITION[vec_index(row, col)]
+    return table
+
+
+M_BLOCKS = _block_table(_M_TOTAL, lambda row, col: PAIR_DIM * row + col)
+"""The blocks of rho: it is block-diagonal in M, sizes 1, 2, 3, 2, 1."""
+
+PARTIAL_TRANSPOSE_BLOCKS = _block_table(
+    _M_DIFFERENCE,
+    # rho^{T_A} at ((a, b), (a', b')) is rho at ((a', b), (a, b')).
+    lambda row, col: (PAIR_DIM * (SINGLE_DIM * (col // SINGLE_DIM) + row % SINGLE_DIM)
+                      + SINGLE_DIM * (row // SINGLE_DIM) + col % SINGLE_DIM),
+)
+"""The blocks of rho^{T_A}: it is block-diagonal in m_A - m_B, sizes 1, 2, 3, 2, 1."""
+
+
+def state_blocks(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The (..., 5, 3, 3) blocks of sector states x (..., 19) laid out by table."""
+    padded = np.concatenate([x, np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)], axis=-1)
+    return padded[..., table]
+
+
+def sector_matrix(x: np.ndarray) -> np.ndarray:
+    """The 9x9 matrices (..., 9, 9) of sector states x (..., 19)."""
+    vec = np.zeros(x.shape[:-1] + (PAIR_DIM**2,), dtype=complex)
+    vec[..., SECTOR_ENTRIES] = x
+    return vec.reshape(x.shape[:-1] + (PAIR_DIM, PAIR_DIM))
+
+
+def sector_hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(rho + rho^dag) / 2 of sector states x (..., 19), entry by entry."""
+    return 0.5 * (x + x[..., _SECTOR_ADJOINT].conj())
+
+
+def sector_trace(x: np.ndarray) -> np.ndarray:
+    """Trace of each sector state x (..., 19).
+
+    The nine populations are added in the order in which np.trace adds the
+    diagonal of a 9x9 matrix, so a state gets the bits its matrix gets.
     """
-    dev = np.max(np.abs(rhos - np.swapaxes(rhos, -1, -2).conj()), axis=(-2, -1))
-    traces = np.trace(rhos, axis1=-2, axis2=-1)
-    lowest = np.linalg.eigvalsh(rhos)[:, 0]
-    errors: list[InvalidStateError | None] = []
-    for d, tr, lo in zip(dev, traces, lowest):
-        if d > herm_tol:
-            errors.append(InvalidStateError(
-                f"not Hermitian: max|rho - rho^dag| = {d:.3e}"))
-        elif abs(tr - 1.0) > trace_tol:
-            errors.append(InvalidStateError(
-                f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}"))
-        elif lo < -psd_tol:
-            errors.append(InvalidStateError(
-                f"not positive semidefinite: min eigenvalue {lo:.3e}"))
-        else:
-            errors.append(None)
-    return errors
+    d = [x[..., j] for j in _SECTOR_DIAGONAL]
+    return ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] + d[7])) + d[8]
+
+
+def sector_populations(x: np.ndarray) -> np.ndarray:
+    """Populations <m_A, m_B|rho|m_A, m_B> (..., 3, 3) of sector states x, real."""
+    return x[..., _SECTOR_DIAGONAL].real.reshape(x.shape[:-1] + (SINGLE_DIM, SINGLE_DIM))
+
+
+def _violation(
+    dev: float, trace: complex, lowest: float,
+    herm_tol: float, trace_tol: float, psd_tol: float,
+) -> InvalidStateError | None:
+    # The first violated density-matrix invariant, if any.
+    if dev > herm_tol:
+        return InvalidStateError(f"not Hermitian: max|rho - rho^dag| = {dev:.3e}")
+    if abs(trace - 1.0) > trace_tol:
+        return InvalidStateError(
+            f"trace {trace} deviates from 1 by {abs(trace - 1.0):.3e}")
+    if lowest < -psd_tol:
+        return InvalidStateError(f"not positive semidefinite: min eigenvalue {lowest:.3e}")
+    return None
+
+
+def sector_state_errors(
+    x: np.ndarray, block_eigenvalues: np.ndarray
+) -> list[InvalidStateError | None]:
+    """The first violated density-matrix invariant of each sector state.
+
+    x is (m, 19) and block_eigenvalues (m, 5, 3) the eigenvalues of its
+    M_BLOCKS, whose padding adds zeros; a state whose spectrum is positive
+    thus reports 0 as its lowest eigenvalue, which passes as its own does.
+    Entry i is None when x[i] passes validate_density_matrix at its default
+    tolerances, else the InvalidStateError it raises for that matrix.
+    """
+    dev = np.max(np.abs(x - x[:, _SECTOR_ADJOINT].conj()), axis=-1)
+    lowest = np.min(block_eigenvalues, axis=(-2, -1))
+    return [_violation(d, tr, lo, 1e-10, 1e-10, 1e-10)
+            for d, tr, lo in zip(dev, sector_trace(x), lowest)]
 
 
 def validate_density_matrix(
@@ -162,6 +249,9 @@ def validate_density_matrix(
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"not a square matrix: shape {rho.shape}")
-    error = density_matrix_errors(rho[None], herm_tol, trace_tol, psd_tol)[0]
+    error = _violation(
+        np.max(np.abs(rho - rho.conj().T)), np.trace(rho),
+        np.linalg.eigvalsh(rho)[0], herm_tol, trace_tol, psd_tol,
+    )
     if error is not None:
         raise error

@@ -8,8 +8,9 @@ The coherent amplitudes factor into a polar part r_a(theta) and a phase
 e^{i a phi}, so the polar integrals leave the overlaps
 integral sin(theta) r_a r_c dtheta, and the phi_B integral keeps only the
 entries <a,b|rho|c,d> with c - a = b - d.  What is left is a trigonometric
-polynomial in phi with five Fourier modes, |k| <= 2, linear in rho; the
-single-spin marginal p_single is the same polynomial for one site.
+polynomial in phi with five Fourier modes, |k| <= 2, linear in the 19
+entries of the k = 0 sector of rho; the single-spin marginal p_single is
+the same polynomial for one site.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PAIR_DIM, SINGLE_DIM
+from .operators import PAIR_DIM, SECTOR_ENTRIES, SINGLE_DIM
 
 HUSIMI_NORM = 3.0 / (4.0 * np.pi)
 
@@ -106,15 +107,18 @@ _MODES = np.arange(-2, 3)
 
 
 def _s_rel_mode_matrix() -> np.ndarray:
-    # Row k + 2 maps vec(rho) to c_k.  <a,b|rho|c,d> sits at vec index
-    # 9 (3a + b) + 3c + d, and after the phi_B integral only the entries
-    # with c - a = b - d survive, each carrying e^{i (c - a) phi}.
+    # Row k + 2 maps a sector state x to c_k.  <a,b|rho|c,d> sits at vec
+    # index 9 (3a + b) + 3c + d, and after the phi_B integral only the
+    # entries with c - a = b - d survive, each carrying e^{i (c - a) phi}.
+    # Those are the entries with a + b = c + d: the k = 0 sector, whose
+    # 19 columns are kept.
     out = np.zeros((len(_MODES), PAIR_DIM, PAIR_DIM))
     for a, b, c, d in np.ndindex(3, 3, 3, 3):
         if c - a == b - d:
             out[c - a + 2, 3 * a + b, 3 * c + d] = (
                 _THETA_OVERLAP[a, c] * _THETA_OVERLAP[b, d])
-    return 2.0 * np.pi * HUSIMI_NORM**2 * out.reshape(len(_MODES), -1)
+    out = 2.0 * np.pi * HUSIMI_NORM**2 * out.reshape(len(_MODES), -1)
+    return out[:, SECTOR_ENTRIES]
 
 
 _S_REL_MODES = _s_rel_mode_matrix()
@@ -134,8 +138,9 @@ def s_rel(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDist
 
     For each output phi, the joint Q at angles (phi_A, phi_B) =
     (phi + phi_B, phi_B) integrated over theta_A, theta_B and phi_B, minus
-    1/(2 pi): five Fourier modes, a fixed linear map of vec(rho),
-    evaluated on the n_phi_out grid.  Requires Hermitian input but not positivity, so
+    1/(2 pi): five Fourier modes, a fixed linear map of the 19 k = 0
+    entries of rho (the others drop out of the integral), evaluated on the
+    n_phi_out grid.  Requires Hermitian input but not positivity, so
     synthetic first-order states can be probed directly.  rho may also be a
     stack (..., 9, 9); the values are then (..., n_phi_out).
     """
@@ -143,10 +148,15 @@ def s_rel(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDist
         raise ValueError(f"expected a 9x9 matrix, got shape {rho.shape}")
     if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0) > 1e-8:
         raise ValueError("state must be Hermitian")
+    flat = rho.reshape(rho.shape[:-2] + (PAIR_DIM**2,))
+    return sector_s_rel(flat[..., SECTOR_ENTRIES], quad)
+
+
+def sector_s_rel(x: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDistribution:
+    """s_rel of sector states x (..., 19); see operators.SECTOR_ENTRIES."""
     # einsum rather than a matmul: every state of a stack gets the bits it
     # gets alone.
-    flat = rho.reshape(rho.shape[:-2] + (PAIR_DIM**2,))
-    modes = np.einsum("kn,...n->...k", _S_REL_MODES, flat)
+    modes = np.einsum("kn,...n->...k", _S_REL_MODES, x)
     return _on_grid(modes, quad.n_phi_out)
 
 

@@ -1,31 +1,48 @@
 """Batch evaluation of parameter points: sweeps, cuts, dynamics, CSV output.
 
-Grid points are independent.  They are solved and measured together, in
-chunks of CHUNK_SIZE points: one stacked solve and one stacked call per
-measure for each chunk.  Every point gets the same bits whatever chunk it
-lands in, and results are always emitted in deterministic grid order
-(epsilon-major for the tongue sweep), so CSV bodies are byte-identical
-regardless of chunk size.  A failing point is recorded in its row's status
-field and never aborts a sweep or affects the other points.
+Grid points are independent.  A grid is built as one (N, 7) array of
+weights (see liouvillian.as_weights) and validated once, then solved and
+measured in chunks of CHUNK_SIZE points: one stacked solve, one stacked
+first-order oracle and one stacked call per measure for each chunk.  Each
+solved state is carried as its 19 k = 0 entries, and the measures run on
+its 3x3 blocks (see correlations); a 9x9 matrix is built only for the
+state evaluate_point returns.  Every point gets the same bits whatever
+chunk it lands in, and results are always emitted in deterministic grid
+order (epsilon-major for the tongue sweep), so CSV bodies are
+byte-identical regardless of chunk size.  A failing point is recorded in
+its row's status field and never aborts a sweep or affects the other
+points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .correlations import (
-    mutual_information_stack,
-    negativity_stack,
-    purity_stack,
-    schmidt_stack,
+    sector_mutual_information,
+    sector_negativity,
+    sector_purity,
+    sector_schmidt,
 )
-from .first_order import peak_and_negativity_first_order, s_rel_peak_first_order
-from .liouvillian import SystemParams, evolve, steady_states
-from .operators import joint_index
-from .phasespace import QuadratureSpec, max_s_rel_stack, s_rel
+from .first_order import (
+    NO_STEADY_STATE,
+    peak_and_negativity_first_order,
+    s_rel_peak_first_order,
+)
+from .liouvillian import (
+    SteadyStates,
+    SystemParams,
+    as_weights,
+    check_weights,
+    evolve,
+    steady_states,
+)
+from .operators import SECTOR_ENTRIES, joint_index
+from .phasespace import QuadratureSpec, max_s_rel_stack, sector_s_rel
 
 SWEEP_CSV_HEADER = (
     "epsilon,delta,max_s_rel,phi_at_max,negativity,mutual_info,purity,"
@@ -78,63 +95,57 @@ class DynamicsRow:
 # per-call overhead and hold more memory at once.
 CHUNK_SIZE = 32
 
+_FIELDS = [f.name for f in fields(SystemParams)]
+
 # SweepRecord fields measured on a solved state, nan when it is refused.
 _MEASURED = ("max_s_rel", "phi_at_max", "negativity", "mutual_info", "purity",
              "residual")
 
 
 def _evaluate_chunk(
-    points: list[SystemParams], quad: QuadratureSpec
-) -> tuple[list[SweepRecord], list[np.ndarray | None]]:
-    errors: list[list[str]] = [[] for _ in points]
-    oracle = np.full((len(points), 2), math.nan)
-    for i, params in enumerate(points):
-        try:
-            oracle[i] = peak_and_negativity_first_order(params)
-        except ValueError as exc:
-            errors[i].append(f"oracle: {exc}")
-
-    batch = steady_states(points)
+    points: Sequence[SystemParams] | np.ndarray, quad: QuadratureSpec
+) -> tuple[list[SweepRecord], SteadyStates]:
+    weights = as_weights(points)
+    oracle, defined = peak_and_negativity_first_order(weights)
+    batch = steady_states(weights)
     solved = np.array([e is None for e in batch.errors], dtype=bool)
-    for messages, error in zip(errors, batch.errors):
+    # Measures are taken on the solved states only, which passed the
+    # density-matrix checks.
+    x = batch.sectors[solved]
+    eigenvalues = batch.block_eigenvalues[solved]
+    phi_at_max, peak = max_s_rel_stack(sector_s_rel(x, quad))
+    columns = np.full((len(_MEASURED), len(weights)), math.nan)
+    columns[:, solved] = (
+        peak, phi_at_max, sector_negativity(x),
+        sector_mutual_information(x, eigenvalues), sector_purity(x),
+        batch.residuals[solved],
+    )
+    ranks = np.zeros(len(weights), dtype=int)
+    ranks[solved] = sector_schmidt(eigenvalues, batch.block_eigenvectors[solved])[1]
+
+    records = []
+    for (epsilon, delta), values, rank, fo, ok, error in zip(
+            weights[:, 4:6].tolist(), columns.T.tolist(), ranks.tolist(),
+            oracle.tolist(), defined, batch.errors):
+        messages = [] if ok else [f"oracle: {NO_STEADY_STATE}"]
         if error is not None:
             messages.append(f"solve: {error}")
-    # Measures are taken on the solved states only.  These passed the
-    # density-matrix checks and are exactly Hermitian, so none of the checks
-    # inside the measures can fail for one state of the stack.
-    rhos = batch.states[solved]
-    phi_at_max, peak = max_s_rel_stack(s_rel(rhos, quad))
-    columns = np.full((len(_MEASURED), len(points)), math.nan)
-    columns[:, solved] = (
-        peak, phi_at_max, negativity_stack(rhos), mutual_information_stack(rhos),
-        purity_stack(rhos), batch.residuals[solved],
-    )
-    ranks = np.zeros(len(points), dtype=int)
-    ranks[solved] = schmidt_stack(rhos)[1]
-
-    records = [
-        SweepRecord(
-            epsilon=params.epsilon,
-            delta=params.delta,
-            schmidt_rank=rank,
-            s_rel_fo=fo[0],
-            negativity_fo=fo[1],
-            status="; ".join(messages) or "ok",
+        records.append(SweepRecord(
+            epsilon=epsilon, delta=delta, schmidt_rank=rank, s_rel_fo=fo[0],
+            negativity_fo=fo[1], status="; ".join(messages) or "ok",
             **dict(zip(_MEASURED, values)),
-        )
-        for params, values, rank, fo, messages in zip(
-            points, columns.T.tolist(), ranks.tolist(), oracle.tolist(), errors)
-    ]
-    states = [rho if ok else None for rho, ok in zip(batch.states, solved)]
-    return records, states
+        ))
+    return records, batch
 
 
 def evaluate_point(
     params: SystemParams, quad: QuadratureSpec = QuadratureSpec()
 ) -> tuple[SweepRecord, np.ndarray | None]:
     """Solve one point and fill a record; also return the state if solvable."""
-    records, states = _evaluate_chunk([params], quad)
-    return records[0], states[0]
+    records, batch = _evaluate_chunk([params], quad)
+    if batch.errors[0] is not None:
+        return records[0], None
+    return records[0], batch.states[0]
 
 
 def run_steady_point(
@@ -149,6 +160,20 @@ def _validate_range(name: str, lo: float, hi: float) -> None:
         raise ValueError(f"invalid {name} range [{lo}, {hi}]")
 
 
+def _grid(base: SystemParams, **axes: np.ndarray) -> np.ndarray:
+    """(N, 7) weights of base with the named fields over the product of axes.
+
+    The first axis varies slowest.  An invalid point refuses the grid as
+    SystemParams refuses the first of them.
+    """
+    values = np.meshgrid(*axes.values(), indexing="ij")
+    weights = np.tile(as_weights([base]), (values[0].size, 1))
+    for name, axis in zip(axes, values):
+        weights[:, _FIELDS.index(name)] = axis.reshape(-1)
+    check_weights(weights)
+    return weights
+
+
 def arnold_sweep(
     base: SystemParams,
     eps_range: tuple[float, float] = (0.0, 0.1),
@@ -161,12 +186,9 @@ def arnold_sweep(
     _validate_range("delta", *delta_range)
     if steps[0] < 2 or steps[1] < 2:
         raise ValueError("need at least 2 steps per axis")
-    points = [
-        replace(base, epsilon=float(eps), delta=float(delta))
-        for eps in np.linspace(eps_range[0], eps_range[1], steps[0])
-        for delta in np.linspace(delta_range[0], delta_range[1], steps[1])
-    ]
-    return _run_points(points, quad)
+    weights = _grid(base, epsilon=np.linspace(eps_range[0], eps_range[1], steps[0]),
+                    delta=np.linspace(delta_range[0], delta_range[1], steps[1]))
+    return _run_points(weights, quad)
 
 
 def balanced_cut_scan(
@@ -189,14 +211,13 @@ def balanced_cut_scan(
         raise ValueError(f"invalid ratio range {ratio_range}")
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    points = [
-        replace(base, gamma_d_b=float(r))
-        for r in np.geomspace(ratio_range[0], ratio_range[1], steps)
-    ]
-    return _run_points(points, quad)
+    weights = _grid(base, gamma_d_b=np.geomspace(ratio_range[0], ratio_range[1], steps))
+    return _run_points(weights, quad)
 
 
-def _run_points(points: list[SystemParams], quad: QuadratureSpec) -> list[SweepRecord]:
+def _run_points(
+    points: Sequence[SystemParams] | np.ndarray, quad: QuadratureSpec
+) -> list[SweepRecord]:
     records = []
     for start in range(0, len(points), CHUNK_SIZE):
         records += _evaluate_chunk(points[start:start + CHUNK_SIZE], quad)[0]
@@ -214,14 +235,25 @@ def dynamics_trace(
 
     The initial state is the product of the two stabilized m=0 states; each
     sampled state is scored by its relative-phase peak (with the transient
-    oracle peak alongside) and negativity.
+    oracle peak alongside) and negativity.  The initial state lies in the
+    k = 0 sector and the generator never leaves it, so every entry of a
+    sample outside the sector is exactly zero; the samples are measured on
+    their 19 sector entries, and a nonzero entry outside raises
+    RuntimeError.
     """
     rho0 = np.zeros((9, 9), dtype=complex)
     rho0[joint_index(0, 0), joint_index(0, 0)] = 1.0
     traj = evolve(params, rho0, t_max, dt=dt, samples=samples)
-    states = np.array(traj.states)
-    peaks = max_s_rel_stack(s_rel(states, quad))[1]
-    negativities = negativity_stack(states)
+    flat = np.array(traj.states).reshape(len(traj.states), -1)
+    outside = np.delete(flat, SECTOR_ENTRIES, axis=-1)
+    if np.any(outside != 0.0):
+        raise RuntimeError(
+            "dynamics left the k = 0 sector: entry of magnitude "
+            f"{np.max(np.abs(outside)):.3e} outside it"
+        )
+    x = flat[:, SECTOR_ENTRIES]
+    peaks = max_s_rel_stack(sector_s_rel(x, quad))[1]
+    negativities = sector_negativity(x)
     return [
         DynamicsRow(
             t=float(t),

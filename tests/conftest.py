@@ -20,6 +20,7 @@ from spinsync import (
     dynamics_trace,
     steady_state,
 )
+from spinsync.operators import M_VALUES
 
 # Reversed limit cycles: gain of A and damping of B 100x stronger, the
 # configuration that locks best.
@@ -64,6 +65,34 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_sector_state(rng: np.random.Generator) -> np.ndarray:
+    """A 9x9 density matrix that commutes with Sz_A + Sz_B.
+
+    Each block of joint indices with equal M = m_A + m_B gets a random PSD
+    block of random rank and weight from 1e-6 to 1, or none in a fifth of
+    the blocks, so pure, rank-deficient and mixed states all occur.
+    """
+    m_total = np.add.outer(M_VALUES, M_VALUES).reshape(-1)
+    rho = np.zeros((9, 9), dtype=complex)
+    for m in range(-2, 3):
+        members = np.flatnonzero(m_total == m)
+        if rng.random() < 0.2:
+            continue
+        rank = int(rng.integers(1, len(members) + 1))
+        a = (rng.normal(size=(len(members), rank))
+             + 1j * rng.normal(size=(len(members), rank)))
+        rho[np.ix_(members, members)] = 10.0 ** rng.uniform(-6.0, 0.0) * (a @ a.conj().T)
+    if not rho.any():
+        rho[4, 4] = 1.0
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def sector_density_matrices(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_sector_state(np.random.default_rng(seed))
 
 
 @st.composite

@@ -255,6 +255,39 @@ class TestSweepCommands:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eps-min", "-0.1"], "error: epsilon must be finite and >= 0, got -0.1"),
+            (["--eps-min", "0.2"], "error: invalid epsilon range [0.2, 0.1]"),
+            (["--delta-max", "inf"], "error: invalid delta range [-1.0, inf]"),
+            (["--delta-min", "nan"], "error: invalid delta range [nan, 1.0]"),
+        ],
+    )
+    def test_sweep_refusal_lines(self, tmp_path, capsys, flags, message):
+        cfg = write_json(tmp_path, FIG2_CONFIG)
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--config", cfg, "--out", str(out), "--eps-steps", "2",
+                "--delta-steps", "2", *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gdb-min", "0"], "error: invalid ratio range (0.0, 199.0)"),
+            (["--gdb-max", "0.5"], "error: invalid ratio range (1.0, 0.5)"),
+            (["--steps", "1"], "error: need at least 2 steps"),
+        ],
+    )
+    def test_scan_balanced_refusal_lines(self, tmp_path, capsys, flags, message):
+        cfg = write_json(tmp_path, BALANCED_CONFIG)
+        out = tmp_path / "x.csv"
+        assert main(["scan-balanced", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     def test_scan_balanced_writes_csv(self, tmp_path):
         cfg = write_json(tmp_path, BALANCED_CONFIG)
         out = tmp_path / "cut.csv"

@@ -1,9 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import BALANCED, density_matrices, random_density, random_unitary
+from conftest import (
+    BALANCED,
+    FIG2,
+    density_matrices,
+    random_density,
+    random_unitary,
+    sector_density_matrices,
+)
 from spinsync import (
     SystemParams,
     first_order_state,
@@ -17,13 +27,20 @@ from spinsync import (
 )
 from spinsync.correlations import (
     PURITY_WARNING_THRESHOLD,
-    mutual_information_stack,
-    negativity_stack,
-    purity_stack,
-    schmidt_stack,
-    von_neumann_entropy_stack,
+    sector_mutual_information,
+    sector_negativity,
+    sector_purity,
+    sector_schmidt,
 )
-from spinsync.operators import InvalidStateError, joint_index
+from spinsync.liouvillian import steady_states
+from spinsync.operators import (
+    M_BLOCKS,
+    SECTOR_ENTRIES,
+    InvalidStateError,
+    joint_index,
+    state_blocks,
+)
+from spinsync.phasespace import sector_s_rel
 
 LN2 = np.log(2.0)
 LN3 = np.log(3.0)
@@ -208,20 +225,120 @@ def test_entanglement_measures_agree_on_ordering(fig2_steady):
     assert mutual_information(balanced) > mutual_information(fig2_steady)
 
 
-def test_stacked_measures_equal_single_state_calls():
-    # Pure states have exact zero eigenvalues, so the entropy sums run over
-    # rows of different lengths within one stack.
-    rng = np.random.default_rng(41)
-    states = np.array([random_density(rng, 9), bell_like(), tilted_pair(),
-                       pure_state((1.0, joint_index(0, 0))), random_density(rng, 9)])
-    pairs = [
-        (negativity_stack, negativity),
-        (von_neumann_entropy_stack, von_neumann_entropy),
-        (mutual_information_stack, mutual_information),
-        (purity_stack, purity),
-        (lambda rhos: schmidt_stack(rhos)[1], lambda rho: schmidt_analysis(rho).rank),
-        (lambda rhos: s_rel(rhos).values, lambda rho: s_rel(rho).values.tolist()),
-    ]
-    for stacked, single in pairs:
-        assert stacked(states).tolist() == [single(rho) for rho in states]
-        assert stacked(states[1:3]).tolist() == [single(rho) for rho in states[1:3]]
+def sector_entries(states: np.ndarray) -> np.ndarray:
+    return states.reshape(len(states), 81)[:, SECTOR_ENTRIES]
+
+
+def block_spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(state_blocks(x, M_BLOCKS))
+
+
+def assert_block_forms_match_single_state_calls(states, x, spectra):
+    """The sector forms of a stack against the 9x9 single-state functions.
+
+    Both take eigenvalues of the same Hermitian matrix, 3x3 blocks against
+    9x9, so the values agree to a few ulps of the O(1) measures: 1e-12.
+    Schmidt coefficients also move by the roundoff over the gap between the
+    two largest eigenvalues, so they are compared where that gap is at
+    least 1e-3.  Ranks must be equal.
+    """
+    values, vectors = spectra
+    coeffs, ranks, weights = sector_schmidt(values, vectors)
+    stacked = [sector_negativity(x), sector_mutual_information(x, values),
+               sector_purity(x), weights]
+    singles = [negativity, mutual_information, purity,
+               lambda rho: schmidt_analysis(rho).dominant_weight]
+    for got, single in zip(stacked, singles):
+        assert_allclose(got, [single(rho) for rho in states], rtol=0.0, atol=1e-12)
+    assert sector_s_rel(x).values.tolist() == s_rel(states).values.tolist()
+    for rho, coefficients, rank in zip(states, coeffs, ranks):
+        analysis = schmidt_analysis(rho)
+        assert rank == analysis.rank
+        top = np.linalg.eigvalsh(rho)[-2:]
+        if top[1] - top[0] >= 1e-3:
+            assert_allclose(coefficients, analysis.coefficients, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sector_density_matrices(), min_size=1, max_size=5))
+def test_stacked_measures_equal_single_state_calls(states):
+    # k = 0 states of every rank; pure blocks have exact zero eigenvalues.
+    states = np.array(states)
+    x = sector_entries(states)
+    assert np.array_equal(states.reshape(len(states), 81)[:, np.setdiff1d(
+        np.arange(81), SECTOR_ENTRIES)], np.zeros((len(states), 81 - 19)))
+    assert_block_forms_match_single_state_calls(states, x, block_spectra(x))
+
+
+def test_block_forms_on_sweep_states():
+    # A seeded tongue, the balanced cut and FIG2, measured on the engine's
+    # own spectra.
+    rng = np.random.default_rng(97)
+    points = [
+        dataclasses.replace(FIG2, epsilon=float(e), delta=float(d),
+                            omega_ref=float(rng.uniform(-1.0, 1.0)))
+        for e in np.linspace(0.0, 0.1, 6) for d in np.linspace(-1.0, 1.0, 7)
+    ] + [dataclasses.replace(BALANCED, gamma_d_b=float(r))
+         for r in np.geomspace(1.0, 199.0, 11)]
+    batch = steady_states(points)
+    assert batch.errors == (None,) * len(points)
+    assert_block_forms_match_single_state_calls(
+        batch.states, batch.sectors, (batch.block_eigenvalues, batch.block_eigenvectors))
+
+
+class TestSectorSchmidtTies:
+    """The dominant eigenvalue tied exactly across two M blocks."""
+
+    @staticmethod
+    def mixture(*weighted_states):
+        return sum(weight * state for weight, state in weighted_states)
+
+    @staticmethod
+    def spectra(ties):
+        # One state per (first, second, entangled_first): blocks first <
+        # second share the top eigenvalue 0.5.  One of them has a product
+        # vector, the other a vector with Schmidt coefficients (0.8, 0.6,
+        # 0), the entangled one first when entangled_first.  The other
+        # blocks hold eigenvalues below 0.5.
+        values = np.tile([0.0, 0.1, 0.2], (len(ties), 5, 1))
+        vectors = np.tile(np.eye(3, dtype=complex), (len(ties), 5, 1, 1))
+        for i, (first, second, entangled_first) in enumerate(ties):
+            values[i, [first, second], -1] = 0.5
+            vectors[i, [first, second], :, -1] = (
+                [[0.6, 0.8j, 0.0], [1.0, 0.0, 0.0]] if entangled_first
+                else [[1.0, 0.0, 0.0], [0.0, -0.6, 0.8]])
+        return values, vectors
+
+    def test_first_block_in_fixed_order_wins(self):
+        # Blocks are ordered M = 2, 1, 0, -1, -2; the earlier tied block
+        # gives the Schmidt vector, wherever the state sits in the stack.
+        ties = [(1, 2, False), (0, 4, True), (2, 3, True), (3, 4, False)]
+        coeffs, ranks, weights = sector_schmidt(*self.spectra(ties))
+        assert ranks.tolist() == [1, 2, 2, 1]
+        assert_allclose(coeffs, [[1.0, 0.0, 0.0], [0.8, 0.6, 0.0],
+                                 [0.8, 0.6, 0.0], [1.0, 0.0, 0.0]], atol=1e-15)
+        assert weights.tolist() == [0.5] * 4
+        assert sector_schmidt(*self.spectra(ties[::-1]))[1].tolist() == [1, 2, 2, 1]
+
+    def test_tie_in_a_state(self):
+        # |+1,+1> and |0,0> with equal weights: diagonal blocks, whose
+        # eigenvalues are exact, tie at 0.5.
+        rho = self.mixture((0.5, pure_state((1.0, joint_index(1, 1)))),
+                           (0.5, pure_state((1.0, joint_index(0, 0)))))
+        values, vectors = block_spectra(sector_entries(rho[None]))
+        assert values[0, 0, -1] == values[0, 2, -1] == 0.5
+        coeffs, ranks, weights = sector_schmidt(values, vectors)
+        assert ranks.tolist() == [1] and weights.tolist() == [0.5]
+
+    @pytest.mark.parametrize("split", [1e-3, -1e-3])
+    def test_untied_neighbours_agree_with_schmidt_analysis(self, split):
+        # Moving a weight of 1e-3 either way breaks the tie; the block that
+        # holds the larger eigenvalue then wins, as in the 9x9 analysis.
+        up = pure_state((1.0, joint_index(1, 1)))
+        rho = self.mixture((0.5 + split, up), (0.5 - split, bell_like()))
+        x = sector_entries(rho[None])
+        coeffs, ranks, weights = sector_schmidt(*block_spectra(x))
+        analysis = schmidt_analysis(rho)
+        assert ranks[0] == analysis.rank == (1 if split > 0 else 2)
+        assert_allclose(coeffs[0], analysis.coefficients, atol=1e-12)
+        assert weights[0] == pytest.approx(analysis.dominant_weight, abs=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import BALANCED, FIG2
+from conftest import BALANCED, FIG2, wide_range_params
 from spinsync import (
     STEADY,
     SystemParams,
@@ -18,7 +18,8 @@ from spinsync import (
     s_rel_first_order,
     s_rel_peak_first_order,
 )
-from spinsync.first_order import SREL_COEFF
+from spinsync.first_order import SREL_COEFF, peak_and_negativity_first_order
+from spinsync.liouvillian import as_weights
 from spinsync.operators import joint_index
 
 DETUNED = SystemParams(
@@ -171,6 +172,34 @@ class TestNegativityFirstOrder:
         psi = first_order_state(params)
         exact = negativity(np.outer(psi, psi.conj()))
         assert negativity_first_order(params) == pytest.approx(exact, rel=0.05)
+
+
+class TestStackedOracle:
+    """peak_and_negativity_first_order against the single-point functions."""
+
+    def test_bitwise_the_single_point_values(self):
+        # Wide-range draws, the same draws with exact, signed-zero, tiny and
+        # huge detunings, and both zero-rate refusals.
+        rng = np.random.default_rng(808)
+        points = [wide_range_params(rng) for _ in range(2000)]
+        points += [dataclasses.replace(p, delta=d) for p, d in zip(
+            points[:500], [0.0, -0.0, 5e-324, -1e-300, 1e300] * 100)]
+        points += [SystemParams(gamma_g_a=0.0, gamma_d_b=0.0),
+                   SystemParams(gamma_d_a=5e-324, gamma_g_b=0.0),
+                   dataclasses.replace(DETUNED, gamma_g_a=0.0, gamma_d_b=0.0)]
+        values, defined = peak_and_negativity_first_order(as_weights(points))
+        for params, (peak, neg), ok in zip(points, values, defined):
+            try:
+                want = (s_rel_peak_first_order(params), negativity_first_order(params))
+            except ValueError:
+                assert not ok and np.isnan(peak) and np.isnan(neg)
+                continue
+            assert ok and np.array([peak, neg]).tobytes() == np.array(want).tobytes(), params
+        assert 0 < np.count_nonzero(~defined) < len(points)
+
+    def test_empty_stack(self):
+        values, defined = peak_and_negativity_first_order(np.empty((0, 7)))
+        assert values.shape == (0, 2) and defined.shape == (0,)
 
 
 class TestFirstOrderState:

@@ -421,9 +421,11 @@ class TestSteadyState:
     def test_empty_stack(self):
         batch = steady_states([])
         assert batch.states.shape == (0, 9, 9)
+        assert batch.sectors.shape == (0, 19)
         assert batch.residuals.shape == (0,)
         assert batch.errors == ()
-        assert sweep._evaluate_chunk([], QuadratureSpec()) == ([], [])
+        records, chunk = sweep._evaluate_chunk([], QuadratureSpec())
+        assert records == [] and chunk.errors == ()
 
     def test_five_sector_svds_per_stack(self, monkeypatch):
         # The -k blocks share the singular values of the +k blocks, so only

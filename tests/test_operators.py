@@ -3,9 +3,19 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from conftest import density_matrices, random_density, random_unitary
+from conftest import (
+    density_matrices,
+    random_density,
+    random_sector_state,
+    random_unitary,
+    sector_density_matrices,
+)
+from spinsync.liouvillian import EXCITATION_SECTORS
 from spinsync.operators import (
+    M_BLOCKS,
     PAIR_DIM,
+    PARTIAL_TRANSPOSE_BLOCKS,
+    SECTOR_ENTRIES,
     SINGLE_DIM,
     InvalidStateError,
     dissipator,
@@ -15,7 +25,12 @@ from spinsync.operators import (
     joint_index,
     partial_trace,
     partial_transpose,
+    sector_matrix,
+    sector_populations,
+    sector_state_errors,
+    sector_trace,
     spin1_operators,
+    state_blocks,
     validate_density_matrix,
 )
 
@@ -254,3 +269,65 @@ class TestValidateDensityMatrix:
         validate_density_matrix(rho, trace_tol=1e-5, psd_tol=1e-5)
         with pytest.raises(InvalidStateError):
             validate_density_matrix(rho, trace_tol=1e-5, psd_tol=1e-8)
+
+
+def block_diagonal(blocks: np.ndarray, labels: list[int]) -> np.ndarray:
+    """The 9x9 matrix with the (5, 3, 3) blocks on the joint indices of each label."""
+    out = np.zeros((9, 9), dtype=complex)
+    for block, label in zip(blocks, range(2, -3, -1)):
+        members = [j for j in range(9) if labels[j] == label]
+        out[np.ix_(members, members)] = block[:len(members), :len(members)]
+    return out
+
+
+class TestSectorLayout:
+    """The 19 k = 0 entries and their 3x3 blocks against the 9x9 matrix."""
+
+    M_TOTAL = [m_a + m_b for m_a in (1, 0, -1) for m_b in (1, 0, -1)]
+    M_DIFFERENCE = [m_a - m_b for m_a in (1, 0, -1) for m_b in (1, 0, -1)]
+
+    def test_entries_are_the_excitation_conserving_ones(self):
+        rows, cols = np.divmod(SECTOR_ENTRIES, 9)
+        assert len(SECTOR_ENTRIES) == 19
+        # The engine's k = 0 block acts on x in this order.
+        assert np.array_equal(SECTOR_ENTRIES, EXCITATION_SECTORS[0])
+        assert all(self.M_TOTAL[r] == self.M_TOTAL[c] for r, c in zip(rows, cols))
+
+    @settings(max_examples=30, deadline=None)
+    @given(sector_density_matrices())
+    def test_blocks_rebuild_the_state_and_its_partial_transpose(self, rho):
+        x = rho.reshape(-1)[SECTOR_ENTRIES]
+        assert np.array_equal(sector_matrix(x), rho)
+        blocks = state_blocks(x[None], M_BLOCKS)[0]
+        assert np.array_equal(block_diagonal(blocks, self.M_TOTAL), rho)
+        transposed = state_blocks(x[None], PARTIAL_TRANSPOSE_BLOCKS)[0]
+        assert np.array_equal(block_diagonal(transposed, self.M_DIFFERENCE),
+                              partial_transpose(rho, "A"))
+        # Padding is zero.
+        for table, stack in ((M_BLOCKS, blocks), (PARTIAL_TRANSPOSE_BLOCKS, transposed)):
+            assert np.all(stack[table == 19] == 0.0)
+
+    def test_trace_and_populations_match_the_matrix(self):
+        rng = np.random.default_rng(17)
+        states = np.array([random_sector_state(rng) for _ in range(50)])
+        x = states.reshape(50, 81)[:, SECTOR_ENTRIES] * rng.uniform(0.5, 2.0, size=(50, 1))
+        matrices = sector_matrix(x)
+        # Bitwise: the engine normalizes by this trace and keeps the state
+        # bytes of the 9x9 path.
+        assert sector_trace(x).tobytes() == np.trace(matrices, axis1=-2, axis2=-1).tobytes()
+        assert np.array_equal(sector_populations(x).reshape(50, 9),
+                              np.diagonal(matrices, axis1=-2, axis2=-1).real)
+
+    def test_errors_match_validate_density_matrix(self):
+        good = random_sector_state(np.random.default_rng(19))
+        negative = good.copy()
+        negative[4, 4] -= 0.5
+        negative /= np.trace(negative).real
+        states = [good, 2.0 * good, negative]
+        x = np.array(states).reshape(3, 81)[:, SECTOR_ENTRIES]
+        errors = sector_state_errors(x, np.linalg.eigvalsh(state_blocks(x, M_BLOCKS)))
+        assert errors[0] is None
+        for rho, error in zip(states[1:], errors[1:]):
+            with pytest.raises(InvalidStateError) as raised:
+                validate_density_matrix(rho)
+            assert type(error) is InvalidStateError and str(error) == str(raised.value)

@@ -17,11 +17,13 @@ from spinsync import (
     negativity,
     run_steady_point,
     s_rel_first_order,
+    schmidt_analysis,
     write_dynamics_csv,
     write_sweep_csv,
 )
 from spinsync import sweep
 from spinsync.cli import main
+from spinsync.first_order import NO_STEADY_STATE, coherences
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER, evaluate_point
 
 SMALL_GRID = dict(eps_range=(0.0, 0.1), delta_range=(-1.0, 1.0), steps=(2, 3))
@@ -66,6 +68,32 @@ class TestRunSteadyPoint:
         record, _ = evaluate_point(bad)
         assert "oracle:" in record.status and "solve:" in record.status
         assert math.isnan(record.s_rel_fo) and math.isnan(record.negativity_fo)
+
+    def test_oracle_status_text(self):
+        # Both decay rates of lam_minus vanish on resonance: the status is
+        # the single-point oracle's exception text.
+        params = SystemParams(gamma_g_a=0.0, gamma_d_b=0.0, epsilon=0.05)
+        with pytest.raises(ValueError) as raised:
+            coherences(params)
+        assert str(raised.value) == NO_STEADY_STATE
+        record = run_steady_point(params)
+        assert record.status.split("; ")[0] == f"oracle: {raised.value}"
+
+    def test_rank_threshold_straddling_draw(self):
+        # A wide-range draw whose second and third Schmidt coefficients lie
+        # 1.45e-4 above and 0.94e-4 below the 1e-3 threshold, relative to
+        # the largest: rank 2 on the block path and in schmidt_analysis.
+        params = SystemParams(
+            gamma_d_a=1.0, gamma_g_a=1.6847394787959757, gamma_g_b=0.09978129297809225,
+            gamma_d_b=0.16747786390832153, epsilon=0.0340956541057965,
+            delta=-34.086280422150814, omega_ref=67.76634802982358,
+        )
+        record, rho = evaluate_point(params)
+        analysis = schmidt_analysis(rho)
+        assert record.status == "ok"
+        assert record.schmidt_rank == analysis.rank == 2
+        assert_allclose(analysis.coefficients[1:] / analysis.coefficients[0],
+                        [1.000145e-3, 0.999906e-3], rtol=1e-6)
 
 
 def same_record(a: SweepRecord, b: SweepRecord) -> bool:
@@ -178,6 +206,33 @@ class TestArnoldSweep:
         with pytest.raises(ValueError):
             arnold_sweep(FIG2, **merged)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"eps_range": (-0.1, 0.1)}, "epsilon must be finite and >= 0, got -0.1"),
+            ({"eps_range": (-0.2, -0.1)}, "epsilon must be finite and >= 0, got -0.2"),
+            # The range is finite but its width overflows, and linspace
+            # yields nan.
+            ({"eps_range": (-1e308, 1e308)}, "epsilon must be finite and >= 0, got nan"),
+            ({"delta_range": (-1e308, 1e308)}, "delta must be finite"),
+            ({"eps_range": (0.0, 1e308), "delta_range": (-1e308, 1e308)},
+             "delta must be finite"),
+            ({"eps_range": (-1e308, 1e308), "delta_range": (-1e308, 1e308)},
+             "epsilon must be finite and >= 0, got nan"),
+            ({"eps_range": (0.1, 0.0)}, "invalid epsilon range [0.1, 0.0]"),
+            ({"eps_range": (math.nan, 0.1)}, "invalid epsilon range [nan, 0.1]"),
+            ({"delta_range": (0.0, math.inf)}, "invalid delta range [0.0, inf]"),
+            ({"delta_range": (1.0, -1.0)}, "invalid delta range [1.0, -1.0]"),
+            ({"steps": (1, 3)}, "need at least 2 steps per axis"),
+        ],
+    )
+    def test_refusal_messages(self, kwargs, message):
+        # The text SystemParams gives the first invalid point in grid order.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as raised:
+                arnold_sweep(FIG2, **{**SMALL_GRID, **kwargs})
+        assert str(raised.value) == message
+
 
 class TestArnoldSweepInvariants:
     """Checks on the full default-resolution sweep (session fixture)."""
@@ -247,6 +302,24 @@ class TestBalancedCutScan:
         with pytest.raises(ValueError):
             balanced_cut_scan(base, **kwargs)
 
+    @pytest.mark.parametrize(
+        "base, kwargs, message",
+        [
+            (dataclasses.replace(BALANCED, gamma_g_a=2.0), {},
+             "cut requires gamma_g_a = gamma_d_a = gamma_g_b"),
+            (dataclasses.replace(BALANCED, delta=0.1), {},
+             "cut is defined on resonance (delta = 0)"),
+            (BALANCED, {"ratio_range": (0.0, 10.0)}, "invalid ratio range (0.0, 10.0)"),
+            (BALANCED, {"ratio_range": (10.0, 1.0)}, "invalid ratio range (10.0, 1.0)"),
+            (BALANCED, {"ratio_range": (1.0, math.inf)}, "invalid ratio range (1.0, inf)"),
+            (BALANCED, {"steps": 1}, "need at least 2 steps"),
+        ],
+    )
+    def test_refusal_messages(self, base, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            balanced_cut_scan(base, **kwargs)
+        assert str(raised.value) == message
+
     def test_jobs_keyword_is_removed(self):
         with pytest.raises(TypeError, match="jobs"):
             balanced_cut_scan(BALANCED, steps=3, jobs=2)
@@ -274,10 +347,66 @@ class TestDynamicsTrace:
     def test_trace_is_conserved(self, fig2_dynamics):
         assert all(row.trace_error <= 1e-8 for row in fig2_dynamics)
 
+    def test_state_outside_the_sector_raises(self, monkeypatch):
+        # The samples are measured on their k = 0 entries; any other entry
+        # must be zero, or the trace refuses to drop it.
+        evolve = sweep.evolve
+
+        def leaking(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            traj.states[-1][0, 1] = traj.states[-1][1, 0] = 1e-30
+            return traj
+
+        monkeypatch.setattr(sweep, "evolve", leaking)
+        with pytest.raises(RuntimeError, match="left the k = 0 sector"):
+            sweep.dynamics_trace(FIG2, t_max=0.01, samples=3)
+
     def test_sample_count_and_spacing(self, fig2_dynamics):
         times = [row.t for row in fig2_dynamics]
         assert len(times) == 11
         assert_allclose(times, np.linspace(0.0, 5.0, 11), atol=1e-12)
+
+
+def record_lapack_calls(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
+    """Record the input shape of every numpy eigensolver and SVD call."""
+    calls = {}
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        calls[name] = []
+
+        def recording(a, *args, _fn=getattr(np.linalg, name), _seen=calls[name], **kwargs):
+            _seen.append(a.shape)
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+class TestBlockMeasures:
+    """The measures run on 3x3 blocks, with no 9x9 eigensolver."""
+
+    def test_lapack_calls_per_chunk(self, monkeypatch):
+        # One tongue chunk: the engine's stacked eigh of the M blocks serves
+        # the density-matrix checks, S(AB) and the Schmidt vector; one
+        # eigvalsh of the partial-transpose blocks gives the negativity.
+        weights = sweep._grid(FIG2, epsilon=np.linspace(0.0, 0.1, 4),
+                              delta=np.linspace(-1.0, 1.0, 8))
+        calls = record_lapack_calls(monkeypatch)
+        records, _ = sweep._evaluate_chunk(weights, QuadratureSpec())
+        assert all(r.status == "ok" for r in records)
+        assert calls == {"eig": [], "eigh": [(32, 5, 3, 3)], "eigvals": [],
+                         "eigvalsh": [(32, 5, 3, 3)], "svd": []}
+
+    def test_lapack_calls_per_point_and_trace(self, monkeypatch):
+        calls = record_lapack_calls(monkeypatch)
+        evaluate_point(FIG2)
+        assert calls == {"eig": [], "eigh": [(1, 5, 3, 3)], "eigvals": [],
+                         "eigvalsh": [(1, 5, 3, 3)], "svd": []}
+        # evolve validates the 9x9 initial state it is given; the samples
+        # are measured on blocks.
+        calls = record_lapack_calls(monkeypatch)
+        sweep.dynamics_trace(FIG2, t_max=0.01, samples=3)
+        assert calls == {"eig": [], "eigh": [], "eigvals": [],
+                         "eigvalsh": [(9, 9), (3, 5, 3, 3)], "svd": []}
 
 
 class TestLinearRegression:
