@@ -20,9 +20,14 @@ its uniqueness is checked from the singular values of the nine blocks.  The
 generator preserves Hermiticity, L(rho^dag) = L(rho)^dag, so the block of
 sector -k is the complex conjugate of the block of +k under the index swap
 rho_rc <-> rho_cr and has the same singular values: five SVDs, of k = 0 and
-of k = 1..4, give all nine sets.  A Cholesky factorization of shifted Gram
-matrices of those five blocks usually proves the kernel one-dimensional
-without them, and the SVDs run only on a stack it cannot clear.
+of k = 1..4, give all nine sets.  Two checks usually prove the kernel
+one-dimensional without them: the k = 1..4 blocks are almost always
+strictly column diagonally dominant, which bounds their smallest singular
+values from below (Varah, Linear Algebra Appl. 11, 3 (1975), with
+||M||_2 <= sqrt(d) ||M||_1) using only the magnitudes of their 95 nonzero
+entries, and a Cholesky factorization of a shifted Gram matrix clears the
+k = 0 block.  The SVDs run only on a stack that either check cannot
+clear, and only then are the k = 1..4 blocks built.
 steady_states solves a stack of points with stacked LAPACK calls and
 returns each state as its 19 k = 0 entries, with the eigen-decomposition
 of its 3x3 blocks in M = m_A + m_B, which the density-matrix checks and
@@ -190,23 +195,46 @@ entries with different k: it is block-diagonal over these sectors, of sizes
 lives in k = 0.
 """
 
-_SECTOR_OFFSETS = np.cumsum([0] + [len(sector) ** 2 for sector in EXCITATION_SECTORS])
 
-
-def _sector_basis() -> tuple[np.ndarray, np.ndarray]:
-    # The nine sector blocks flattened side by side hold 1107 entries, but
-    # only 260 of them are nonzero in any basis superoperator; the rest are
-    # zero at every point.  Returns the positions of those 260 entries and
-    # the basis restricted to them, (7, 260).
+def _nonzero_basis(sectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    # The blocks of these sectors flattened side by side: the positions of
+    # the entries nonzero in some basis superoperator, and the basis
+    # restricted to them.  Every other entry is zero at every point.
     flat = np.concatenate(
-        [_BASIS[:, sector][:, :, sector].reshape(7, -1) for sector in EXCITATION_SECTORS],
-        axis=1,
-    )
+        [_BASIS[:, sector][:, :, sector].reshape(7, -1) for sector in sectors], axis=1)
     entries = np.flatnonzero(np.any(flat != 0.0, axis=0))
     return entries, flat[:, entries]
 
 
-_SECTOR_ENTRIES, _SECTOR_BASIS = _sector_basis()
+# The block of -k is the conjugate of the block of +k (see the module
+# docstring) in every basis superoperator, so its entries have the
+# magnitudes of the +k entries and are finite with them.  Only the k = 0
+# block and the four +k blocks are assembled: 70 of the 361 k = 0 entries
+# and 95 of the 373 +k entries are nonzero.  _SECTOR_BASIS (7, 165) holds
+# the k = 0 entries first.
+_PLUS_SECTORS = EXCITATION_SECTORS[1::2]
+_K0_ENTRIES, _K0_BASIS = _nonzero_basis(EXCITATION_SECTORS[:1])
+_PLUS_ENTRIES, _PLUS_BASIS = _nonzero_basis(_PLUS_SECTORS)
+_SECTOR_BASIS = np.concatenate([_K0_BASIS, _PLUS_BASIS], axis=1)
+
+
+def _column_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # 0/1 maps (95, 31) from the +k entries to the 31 columns of the four +k
+    # blocks, one taking the diagonal entry of each column and one the
+    # others, and the size of the block of each column.
+    sizes = np.array([len(sector) for sector in _PLUS_SECTORS])
+    starts = np.cumsum([0, *sizes ** 2])
+    block = np.searchsorted(starts, _PLUS_ENTRIES, side="right") - 1
+    row, col = divmod(_PLUS_ENTRIES - starts[block], sizes[block])
+    column = np.cumsum([0, *sizes])[block] + col
+    diagonal = np.zeros((len(_PLUS_ENTRIES), sizes.sum()))
+    off_diagonal = np.zeros_like(diagonal)
+    diagonal[np.arange(len(column)), column] = row == col
+    off_diagonal[np.arange(len(column)), column] = row != col
+    return diagonal, off_diagonal, np.repeat(sizes, sizes).astype(float)
+
+
+_PLUS_DIAGONAL, _PLUS_OFF_DIAGONAL, _PLUS_COLUMN_SIZES = _column_maps()
 
 KERNEL_RATIO_THRESHOLD = 1e-8
 
@@ -293,89 +321,121 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
         )
 
 
-def _sector_blocks(
-    weights: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The nine sector blocks of a stack of points, from their (n, 7) weights.
+def _sector_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The assembled sector entries of a stack of points, from their (n, 7) weights.
 
-    Returns the blocks in EXCITATION_SECTORS order, each (n, d, d); whether
-    every entry of a point is finite; and max|L| of each point.  Only the
-    entries nonzero in some basis superoperator are combined, elementwise as
-    in build_generator, so every block is bitwise that block of
-    build_generator; the other entries are exactly zero.
+    Returns the 165 entries of _SECTOR_BASIS, (n, 165), each combined
+    elementwise as in build_generator and so bitwise that entry of
+    build_generator; whether every entry of a point is finite; and max|L|
+    of each point.  The -k entries have the magnitudes of the +k entries
+    and the generator is zero outside these blocks' nonzero entries, so
+    the 165 decide both for the whole generator.
     """
     # Finite parameters near the float maximum overflow the generator; the
     # caller refuses such points before LAPACK sees them.
     with np.errstate(over="ignore", invalid="ignore"):
         entries = _combine(weights, _SECTOR_BASIS)
-    flat = np.zeros((len(weights), _SECTOR_OFFSETS[-1]), dtype=complex)
-    flat[:, _SECTOR_ENTRIES] = entries
-    blocks = [
-        flat[:, start:stop].reshape(-1, len(sector), len(sector))
-        for sector, start, stop in zip(EXCITATION_SECTORS, _SECTOR_OFFSETS,
-                                       _SECTOR_OFFSETS[1:])
-    ]
-    # Entries outside the blocks are exactly zero, so the nonzero block
-    # entries give max|L| of each point.
-    return (blocks, np.all(np.isfinite(entries), axis=-1),
+    return (entries, np.all(np.isfinite(entries), axis=-1),
             np.max(np.abs(entries), axis=-1))
 
 
-def _kernel_certified(blocks: list[np.ndarray], gen_scale: np.ndarray) -> bool:
+def _scatter_blocks(
+    values: np.ndarray, positions: np.ndarray, sectors: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    # The (n, d, d) blocks of sectors whose flattened concatenation holds
+    # values (n, m) at positions and zeros elsewhere.
+    sizes = [len(sector) for sector in sectors]
+    bounds = np.cumsum([0] + [d * d for d in sizes])
+    flat = np.zeros((len(values), bounds[-1]), dtype=complex)
+    flat[:, positions] = values
+    return [flat[:, start:stop].reshape(-1, d, d)
+            for start, stop, d in zip(bounds, bounds[1:], sizes)]
+
+
+def _k0_block(entries: np.ndarray) -> np.ndarray:
+    """The k = 0 block (n, 19, 19) of a stack from its _sector_entries."""
+    return _scatter_blocks(entries[:, :len(_K0_ENTRIES)], _K0_ENTRIES,
+                           EXCITATION_SECTORS[:1])[0]
+
+
+def _plus_blocks(entries: np.ndarray) -> list[np.ndarray]:
+    """The blocks of k = 1..4, (n, d, d) each, of a stack from its _sector_entries."""
+    return _scatter_blocks(entries[:, len(_K0_ENTRIES):], _PLUS_ENTRIES, _PLUS_SECTORS)
+
+
+def _dominance_certified(
+    diagonal: np.ndarray, off_diagonal: np.ndarray, sizes: np.ndarray, tau
+) -> np.ndarray:
+    """Which columns count towards proving sigma_min >= 2 tau for their block.
+
+    diagonal holds |b_jj| and off_diagonal the sum over i != j of |b_ij|,
+    as computed in floating point, for columns j of d x d blocks B with d
+    given by sizes; tau > 0 broadcasts against them.  If B is strictly
+    column diagonally dominant, with margin alpha = min_j (|b_jj| - sum_{i
+    != j} |b_ij|) > 0, then ||B^-1||_1 <= 1 / alpha (Varah, Linear Algebra
+    Appl. 11, 3 (1975)), and since ||M||_2 <= sqrt(d) ||M||_1,
+    sigma_min(B) = 1 / ||B^-1||_2 >= alpha / sqrt(d).  A column counts when
+    its margin, less (d + 2) eps (diagonal + off_diagonal), is at least
+    2 tau sqrt(d).  That term holds twice the first-order rounding bound of
+    the magnitudes and of their sum in any order, so a block all of whose
+    columns count has sigma_min >= 2 tau.
+    """
+    slack = (sizes + 2.0) * np.finfo(float).eps * (diagonal + off_diagonal)
+    return diagonal - off_diagonal - slack >= 2.0 * tau * np.sqrt(sizes)
+
+
+def _kernel_certified(block0: np.ndarray, plus_entries: np.ndarray,
+                      gen_scale: np.ndarray) -> bool:
     """Whether every point of the stack provably passes the kernel test.
 
-    blocks are the k = 0..4 blocks of finite points and gen_scale their
-    max|L|.  With tau = KERNEL_RATIO_THRESHOLD * max|L|, the test passes
-    when the second-smallest singular value of the k = 0 block and the
-    smallest of each k = 1..4 block are at least tau, since each +k set
-    counts twice.  A Cholesky factorization of G - s I that succeeds
-    proves lambda_min(G) > s up to its rounding.  For k >= 1, G = B^H B,
-    so lambda_min(G) = sigma_min(B)^2.  For k = 0, G = B^H B + c^2 t t^T
-    with t the trace row and c = max|L|; a rank-one lift cannot raise the
-    smallest eigenvalue past the second one, so lambda_min(G) <= sigma_2^2.
-    The shift s = (2 tau)^2 + 2 (d + 2) eps tr(G) holds twice the
-    first-order rounding bounds of the Gram product and of the Cholesky
-    factorization (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10), so a success proves a margin of 2 tau,
-    far beyond the SVD's own error of about d^2 eps max|L|.  The blocks of
-    k = 2, 3, 4 are factored together as one 15x15 block-diagonal matrix:
-    its off-diagonal zeros stay exact, so each block factors as alone.
-    False means unproven, not refused.
+    block0 is the k = 0 block (n, 19, 19) of finite points, plus_entries
+    their 95 +k entries (see _SECTOR_BASIS) and gen_scale their max|L|.
+    With tau = KERNEL_RATIO_THRESHOLD * max|L|, the test passes when the
+    second-smallest singular value of the k = 0 block and the smallest of
+    each k = 1..4 block are at least tau, since each +k set counts twice.
+    Both are proven with a margin of 2 tau, far beyond the SVD's own error
+    of about d^2 eps max|L|.
+
+    For k >= 1, every column of the four blocks must pass
+    _dominance_certified.  Its column sums are the magnitudes of the 95
+    entries times the fixed 0/1 maps _PLUS_DIAGONAL and _PLUS_OFF_DIAGONAL,
+    so no +k block is built and no LAPACK routine runs.  For k = 0, a
+    Cholesky factorization of G - s I that succeeds proves lambda_min(G) >
+    s up to its rounding, with G = B^H B + c^2 t t^T, t the trace row and
+    c = max|L|; a rank-one lift cannot raise the smallest eigenvalue past
+    the second one, so lambda_min(G) <= sigma_2^2.  The shift s = (2 tau)^2
+    + 2 (d + 2) eps tr(G) holds twice the first-order rounding bounds of
+    the Gram product and of the Cholesky factorization (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 10).  False means
+    unproven, not refused.
     """
-    n = len(gen_scale)
-    size = sum(block.shape[-1] for block in blocks[2:])
-    tail = np.zeros((n, size, size), dtype=complex)
-    start = 0
-    for block in blocks[2:]:
-        stop = start + block.shape[-1]
-        tail[:, start:stop, start:stop] = block
-        start = stop
-    floor = (2.0 * KERNEL_RATIO_THRESHOLD * gen_scale) ** 2
-    # Overflowing Gram entries or shifts make the factorization fail or its
-    # factor non-finite, which only sends the stack to the SVDs.
+    n, dim = block0.shape[:2]
+    tau = KERNEL_RATIO_THRESHOLD * gen_scale
+    # Overflowing column sums, Gram entries or shifts fail a column, fail
+    # the factorization or make its factor non-finite, which only sends the
+    # stack to the SVDs.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, block in enumerate((blocks[0], blocks[1], tail)):
-            dim = block.shape[-1]
-            gram = np.swapaxes(block.conj(), -1, -2) @ block
-            if k == 0:
-                gram += (gen_scale ** 2)[:, None, None] * _K0_TRACE_GRAM
-            diagonal = gram.reshape(n, dim * dim)[:, ::dim + 1]
-            trace = np.sum(diagonal.real, axis=-1)
-            diagonal -= (floor + 2 * (dim + 2) * np.finfo(float).eps * trace)[:, None]
-            try:
-                factor = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                return False
-            if not np.isfinite(factor.sum()):
-                return False
-    return True
+        magnitudes = np.abs(plus_entries)
+        if not np.all(_dominance_certified(
+                magnitudes @ _PLUS_DIAGONAL, magnitudes @ _PLUS_OFF_DIAGONAL,
+                _PLUS_COLUMN_SIZES, tau[:, None])):
+            return False
+        gram = np.swapaxes(block0.conj(), -1, -2) @ block0
+        gram += (gen_scale ** 2)[:, None, None] * _K0_TRACE_GRAM
+        diagonal = gram.reshape(n, dim * dim)[:, ::dim + 1]
+        trace = np.sum(diagonal.real, axis=-1)
+        floor = (2.0 * KERNEL_RATIO_THRESHOLD * gen_scale) ** 2
+        diagonal -= (floor + 2 * (dim + 2) * np.finfo(float).eps * trace)[:, None]
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.isfinite(factor.sum()))
 
 
 def _solve_stack(weights: np.ndarray) -> SteadyStates:
-    all_blocks, finite, gen_scale = _sector_blocks(weights)
-    # The block of -k has the singular values of the block of +k (see the
-    # module docstring), so k = 0 and the four +k blocks decide uniqueness.
-    blocks = [b[finite] for b in all_blocks[:1] + all_blocks[1::2]]
+    entries, finite, gen_scale = _sector_entries(weights)
+    block0 = _k0_block(entries)
 
     errors: list[Exception | None] = [None] * len(weights)
     for i in np.flatnonzero(~finite):
@@ -384,10 +444,16 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
             "double precision"
         )
     refused = np.zeros(len(weights), dtype=bool)
-    if not _kernel_certified(blocks, gen_scale[finite]):
+    # A stack with an overflowing point is never certified, which keeps its
+    # non-finite entries away from LAPACK.
+    if not (np.all(finite) and _kernel_certified(
+            block0, entries[:, len(_K0_ENTRIES):], gen_scale)):
         # The rule itself: the two smallest of the 81 singular values, with
-        # each +k set entering the union twice.
-        values = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+        # each +k set entering the union twice.  The block of -k has the
+        # singular values of the block of +k (see the module docstring), so
+        # k = 0 and the four +k blocks decide uniqueness.
+        values = [np.linalg.svd(b, compute_uv=False)
+                  for b in [block0[finite], *_plus_blocks(entries[finite])]]
         singular = np.full((len(weights), 81), np.nan)
         singular[finite] = np.sort(np.concatenate(values + values[1:], axis=-1), axis=-1)
         refused = singular[:, 1] < KERNEL_RATIO_THRESHOLD * gen_scale
@@ -402,7 +468,7 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
     # Trace preservation makes the nine population rows of the k = 0 block
     # sum to zero, so the first, <+1,+1|rho|+1,+1>, is redundant: the trace
     # row takes its place and the sector system becomes square.
-    block = blocks[0][unique[finite]]
+    block = block0[unique]
     square = block.copy()
     square[:, 0] = _K0_TRACE
     rhs = np.zeros((len(square), len(_K0_TRACE), 1), dtype=complex)
@@ -451,18 +517,20 @@ def steady_state(
     matter and each +k set counts twice.  The kernel is verified
     one-dimensional through the two smallest of the 81 values before
     trusting the solution: the second must be at least
-    KERNEL_RATIO_THRESHOLD * max|L|.  A shifted-Gram Cholesky certificate
-    (see _kernel_certified) proves that for most stacks; only a stack it
-    cannot clear, such as a point near or past the threshold, has its five
-    blocks decomposed, and the singular values then decide as the rule
-    says and fill the refusal message.  The state is then solved in the
-    19-dimensional k = 0 sector as one square system: the block with its
-    first, redundant population row replaced by the trace row, right-hand
-    side (1, 0, ..., 0); every other sector of rho is zero.  The residual
-    is checked against all 19 rows of the block, and the density-matrix
-    checks take the lowest eigenvalue from the 3x3 blocks of rho in
-    M = m_A + m_B.  This is steady_states on a stack of one point, whose
-    19 entries are laid out as the 9x9 matrix here.
+    KERNEL_RATIO_THRESHOLD * max|L|.  A certificate (see _kernel_certified)
+    proves that for most stacks, from the column diagonal dominance of the
+    k = 1..4 blocks (Varah's bound ||B^-1||_1 <= 1 / alpha with ||M||_2 <=
+    sqrt(d) ||M||_1) and a shifted-Gram Cholesky factorization of the k = 0
+    block.  Only a stack it cannot clear, such as a point near or past the
+    threshold, has its five blocks built and decomposed, and the singular
+    values then decide as the rule says and fill the refusal message.  The
+    state is then solved in the 19-dimensional k = 0 sector as one square
+    system: the block with its first, redundant population row replaced by
+    the trace row, right-hand side (1, 0, ..., 0); every other sector of rho
+    is zero.  The residual is checked against all 19 rows of the block, and
+    the density-matrix checks take the lowest eigenvalue from the 3x3 blocks
+    of rho in M = m_A + m_B.  This is steady_states on a stack of one point,
+    whose 19 entries are laid out as the 9x9 matrix here.
     """
     batch = steady_states([params])
     if batch.errors[0] is not None:

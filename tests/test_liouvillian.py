@@ -34,7 +34,13 @@ from spinsync import liouvillian, sweep
 from spinsync.liouvillian import (
     EXCITATION_SECTORS,
     KERNEL_RATIO_THRESHOLD,
-    _sector_blocks,
+    _PLUS_COLUMN_SIZES,
+    _PLUS_DIAGONAL,
+    _PLUS_OFF_DIAGONAL,
+    _dominance_certified,
+    _k0_block,
+    _plus_blocks,
+    _sector_entries,
     _weights,
     default_time_step,
     steady_states,
@@ -370,6 +376,8 @@ class TestExcitationSectors:
     def test_sector_blocks_are_generator_blocks_bit_for_bit(self):
         # Only the entries nonzero in some basis superoperator are combined;
         # the stack mixes signs of delta and omega_ref, a zero rate and FIG2.
+        # The k = 0 block, and the +k blocks that only the SVDs build, are
+        # those of build_generator.
         points = [
             FIG2,
             SystemParams(gamma_g_a=0.3, gamma_d_b=7.0, epsilon=0.2, delta=-0.8,
@@ -378,14 +386,43 @@ class TestExcitationSectors:
             SystemParams(gamma_g_a=2.0, gamma_d_b=0.0, delta=-3e5, omega_ref=40.0),
             dataclasses.replace(BALANCED, delta=-0.1, omega_ref=0.7),
         ]
-        blocks, finite, scale = _sector_blocks(
+        entries, finite, scale = _sector_entries(
             np.array([_weights(p) for p in points], dtype=float))
-        assert np.all(finite)
+        assert entries.shape == (5, 165) and np.all(finite)
+        blocks = [_k0_block(entries)] + _plus_blocks(entries)
         for i, params in enumerate(points):
             gen = build_generator(params)
             assert scale[i] == np.max(np.abs(gen))
-            for sector, block in zip(EXCITATION_SECTORS, blocks):
+            for sector, block in zip(EXCITATION_SECTORS[:1] + EXCITATION_SECTORS[1::2],
+                                     blocks):
                 assert block[i].tobytes() == gen[np.ix_(sector, sector)].tobytes()
+
+    def test_scale_and_overflow_mask_from_the_assembled_entries(self):
+        # The -k entries, left out of the assembly, have the magnitudes of
+        # the +k entries, so max|L| and finiteness are those of the whole
+        # generator, bit for bit; the last point is finite near the float
+        # maximum.
+        rng = np.random.default_rng(5150)
+        points = [wide_range_params(rng) for _ in range(500)] + [
+            SystemParams(delta=1e308), SystemParams(omega_ref=-1.7e308),
+            SystemParams(gamma_g_a=1e308, delta=1e308),
+            SystemParams(epsilon=1.7e308, gamma_d_b=1e308),
+        ]
+        _, finite, scale = _sector_entries(np.array([_weights(p) for p in points]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            generators = [build_generator(p) for p in points]
+        assert finite.tolist() == [bool(np.all(np.isfinite(g))) for g in generators]
+        assert np.all(finite[:500]) and not np.any(finite[500:503]) and finite[503]
+        for i in np.flatnonzero(finite):
+            assert scale[i].tobytes() == np.max(np.abs(generators[i])).tobytes()
+
+    def test_overflowing_point_is_refused_with_its_text(self):
+        batch = steady_states([SystemParams(delta=1e308), FIG2])
+        assert repr(batch.errors[0]) == (
+            "ValueError('generator has non-finite entries: the parameters "
+            "overflow double precision')")
+        assert batch.errors[1] is None
+        assert np.array_equal(batch.states[1], steady_state(FIG2))
 
 
 class TestSteadyState:
@@ -591,7 +628,12 @@ def stack_outcomes(points, size: int) -> list[tuple[bytes, bytes, str]]:
 
 
 class TestKernelCertificate:
-    """The Cholesky certificate against the SVD rule that it stands in for."""
+    """The certificate against the SVD rule that it stands in for.
+
+    Column dominance clears the k = 1..4 blocks and a shifted-Gram Cholesky
+    the k = 0 block; a stack that either cannot clear has its five blocks
+    decomposed.
+    """
 
     def test_reference_points_take_no_svd(self, monkeypatch):
         shapes = count_svds(monkeypatch)
@@ -610,6 +652,31 @@ class TestKernelCertificate:
         assert shapes == []
         assert all(error == "None" for _, _, error in outcomes)
 
+    def test_one_cholesky_and_one_solve_per_tongue_chunk(self, monkeypatch):
+        # The certified path factors only the k = 0 block and never builds a
+        # k >= 1 block, so it takes no product of one either.
+        weights = sweep._grid(FIG2, epsilon=np.linspace(0.0, 0.1, 4),
+                              delta=np.linspace(-1.0, 1.0, 8))
+        calls = {}
+        for name in ("cholesky", "solve", "svd"):
+            calls[name] = []
+
+            def recording(a, *args, _fn=getattr(np.linalg, name), _seen=calls[name],
+                          **kwargs):
+                _seen.append(a.shape)
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+
+        def no_plus_blocks(entries):
+            raise AssertionError("a k >= 1 block was built")
+
+        monkeypatch.setattr(liouvillian, "_plus_blocks", no_plus_blocks)
+        records, _ = sweep._evaluate_chunk(weights, QuadratureSpec())
+        assert all(r.status == "ok" for r in records)
+        assert calls == {"cholesky": [(32, 19, 19)], "solve": [(32, 19, 19)],
+                         "svd": []}
+
     def test_same_outcomes_as_the_svd_rule(self, monkeypatch):
         # Wide-range draws like the single-point benchmark's, and points on
         # or near a degenerate kernel; alone and in chunks.  Forcing the
@@ -617,21 +684,34 @@ class TestKernelCertificate:
         rng = np.random.default_rng(1010)
         points = ([wide_range_params(rng) for _ in range(3000)]
                   + [degenerate_params(rng) for _ in range(600)])
-        verdicts = []
+        verdicts, dominant = [], []
         certified = liouvillian._kernel_certified
+        dominance = liouvillian._dominance_certified
 
-        def recording(blocks, gen_scale):
-            verdicts.append(certified(blocks, gen_scale))
+        def recording(*args):
+            dominant.append(None)
+            verdicts.append(certified(*args))
             return verdicts[-1]
 
+        def recording_dominance(*args):
+            columns = dominance(*args)
+            dominant[-1] = bool(np.all(columns))
+            return columns
+
         monkeypatch.setattr(liouvillian, "_kernel_certified", recording)
+        monkeypatch.setattr(liouvillian, "_dominance_certified", recording_dominance)
         alone = stack_outcomes(points, 1)
         chunked = stack_outcomes(points, sweep.CHUNK_SIZE)
-        refused = ["NonUniqueSteadyStateError" in error for _, _, error in alone]
-        # Every branch is taken: certified, refused, and sent to the SVDs
-        # but unique after all.
-        assert 0 < sum(verdicts[:len(points)]) < len(points) - sum(refused)
-        assert sum(refused) > 0 and not any(v and r for v, r in zip(verdicts, refused))
+        refused = np.array(["NonUniqueSteadyStateError" in error for _, _, error in alone])
+        verdicts = np.array(verdicts[:len(points)])
+        dominant = np.array(dominant[:len(points)])
+        # Every branch is taken: certified; refused; and sent to the SVDs
+        # but unique after all, by a k >= 1 block that is not dominant or by
+        # a k = 0 block that the Cholesky cannot clear.
+        assert np.sum(verdicts) > 0 and np.sum(refused) > 0
+        assert not np.any(verdicts & refused)
+        assert np.sum(~dominant & ~refused) > 0
+        assert np.sum(dominant & ~verdicts & ~refused) > 0
         monkeypatch.setattr(liouvillian, "_kernel_certified", lambda *args: False)
         assert stack_outcomes(points, 1) == alone
         assert stack_outcomes(points, sweep.CHUNK_SIZE) == chunked
@@ -652,6 +732,103 @@ class TestKernelCertificate:
                         == repr(exc).partition(" values ")[0]), params
                 continue
             assert error == "None" and state == rho.tobytes(), params
+
+
+@st.composite
+def dominance_cases(draw):
+    """A complex d x d block with entries of magnitude 1e-6 to 1e6, and tau.
+
+    Each diagonal entry is the off-diagonal sum of its column times a ratio
+    near 1, so that columns fall on both sides of dominance; tau is drawn
+    relative to the largest entry.
+    """
+    d = draw(st.sampled_from([1, 4, 10, 16]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    block = (10.0 ** rng.uniform(-6.0, 6.0, size=(d, d))
+             * np.exp(2j * np.pi * rng.random((d, d))))
+    if d > 1:
+        off = np.sum(np.abs(block), axis=0) - np.abs(np.diagonal(block))
+        low = draw(st.floats(min_value=-0.2, max_value=0.2))
+        ratio = 10.0 ** rng.uniform(low, low + draw(st.floats(0.0, 0.5)), size=d)
+        block[np.diag_indices(d)] *= off * ratio / np.abs(np.diagonal(block))
+    tau = np.max(np.abs(block)) * 10.0 ** draw(st.floats(min_value=-12.0, max_value=0.0))
+    return block, tau
+
+
+def column_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|b_jj|, the sum over i != j of |b_ij|, and the block size, per column."""
+    magnitudes = np.abs(block)
+    inner = ~np.eye(len(block), dtype=bool)
+    return (np.diagonal(magnitudes).copy(), np.sum(magnitudes * inner, axis=0),
+            np.full(len(block), float(len(block))))
+
+
+class TestColumnDominance:
+    """The column-dominance bound sigma_min(B) >= alpha / sqrt(d) and its maps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dominance_cases(), st.integers(min_value=0, max_value=15))
+    def test_certified_block_has_its_margin(self, case, column):
+        block, tau = case
+        if np.all(_dominance_certified(*column_sums(block), tau)):
+            assert np.linalg.svd(block, compute_uv=False).min() >= 2.0 * tau
+        # One column short of dominance is never certified, even at a far
+        # smaller tau.
+        column %= len(block)
+        diagonal, off, sizes = column_sums(block)
+        short = block.copy()
+        short[column, column] *= off[column] * (1.0 - 1e-12) / diagonal[column]
+        columns = _dominance_certified(*column_sums(short), tau * 1e-12)
+        assert not columns[column]
+
+    @pytest.mark.parametrize("d", [4, 10, 16])
+    def test_sqrt_d_is_needed(self, d):
+        # B = (I - t e_1 1^T) / eta has B^-1 = eta I + c e_1 1^T with
+        # t = c / (eta + c): its margin is alpha = 1 / ||B^-1||_1 = 1 / (eta
+        # + c), but sigma_min(B) is about alpha / sqrt(d).  Just above
+        # sigma_min / 2, tau is not certified, though alpha >= 2 tau.
+        eta, c = 1e-3, 1.0
+        block = (np.eye(d) - c / (eta + c) * np.outer(np.eye(d)[0], np.ones(d))) / eta
+        smallest = np.linalg.svd(block, compute_uv=False).min()
+        diagonal, off, sizes = column_sums(block)
+        alpha = np.min(diagonal - off)
+        assert alpha / math.sqrt(d) <= smallest < 0.6 * alpha
+        tau = 0.5 * smallest * (1.0 + 1e-9)
+        assert alpha >= 2.0 * tau
+        assert not np.all(_dominance_certified(diagonal, off, sizes, tau))
+        assert np.all(_dominance_certified(diagonal, off, sizes, 0.49 * alpha / math.sqrt(d)))
+        # A margin of exactly 2 tau sqrt(d) leaves nothing for rounding.
+        assert not np.all(_dominance_certified(diagonal, off, sizes,
+                                               alpha / (2.0 * math.sqrt(d))))
+
+    def test_certified_plus_blocks_have_their_margin(self):
+        # The real k = 1..4 blocks of wide-range and degenerate draws: the
+        # 0/1 maps give their column sums, and a block whose columns all
+        # count has sigma_min >= 2 tau.
+        rng = np.random.default_rng(4711)
+        points = ([wide_range_params(rng) for _ in range(2000)]
+                  + [degenerate_params(rng) for _ in range(600)])
+        entries, finite, scale = _sector_entries(np.array([_weights(p) for p in points]))
+        assert np.all(finite)
+        tau = KERNEL_RATIO_THRESHOLD * scale
+        magnitudes = np.abs(entries[:, len(liouvillian._K0_ENTRIES):])
+        diagonal = magnitudes @ _PLUS_DIAGONAL
+        off = magnitudes @ _PLUS_OFF_DIAGONAL
+        columns = _dominance_certified(diagonal, off, _PLUS_COLUMN_SIZES, tau[:, None])
+        start = 0
+        for block in _plus_blocks(entries):
+            stop = start + block.shape[-1]
+            want = [np.stack(sums) for sums in zip(*(column_sums(b) for b in block))]
+            assert np.array_equal(diagonal[:, start:stop], want[0])
+            assert_allclose(off[:, start:stop], want[1], rtol=1e-14, atol=0.0)
+            assert np.array_equal(_PLUS_COLUMN_SIZES[start:stop], want[2][0])
+            passed = np.all(columns[:, start:stop], axis=-1)
+            smallest = np.linalg.svd(block, compute_uv=False)[:, -1]
+            assert np.all(smallest[passed] >= 2.0 * tau[passed])
+            start = stop
+        assert start == _PLUS_DIAGONAL.shape[1] == 31
+        certified = np.all(columns, axis=-1)
+        assert np.sum(~certified) > 0 and np.mean(certified[:2000]) > 0.99
 
 
 class TestEvolve:
