@@ -14,20 +14,19 @@ The generator is linear in the seven parameters and is assembled from seven
 basis superoperators built once.  Every term conserves the total excitation
 m_A + m_B on each side of rho, so the generator is block-diagonal in the
 excitation difference k between the row and the column of rho (nine sectors,
-k = -4..4).  The steady state is one square solve of the 19-dimensional
-k = 0 block, its redundant first population row replaced by the trace row;
-its uniqueness is checked from the singular values of the nine blocks.  The
-generator preserves Hermiticity, L(rho^dag) = L(rho)^dag, so the block of
-sector -k is the complex conjugate of the block of +k under the index swap
-rho_rc <-> rho_cr and has the same singular values: five SVDs, of k = 0 and
-of k = 1..4, give all nine sets.  Two checks usually prove the kernel
-one-dimensional without them: the k = 1..4 blocks are almost always
-strictly column diagonally dominant, which bounds their smallest singular
-values from below (Varah, Linear Algebra Appl. 11, 3 (1975), with
-||M||_2 <= sqrt(d) ||M||_1) using only the magnitudes of their 95 nonzero
-entries, and a Cholesky factorization of a shifted Gram matrix clears the
-k = 0 block.  The SVDs run only on a stack that either check cannot
-clear, and only then are the k = 1..4 blocks built.
+k = -4..4).  The trace, and with it the steady state, lives in the
+19-dimensional k = 0 sector, so the steady path assembles only that block,
+from its 70 nonzero entries; omega_ref does not enter it.  Whether the
+steady state is unique depends only on which channels are on: it is when
+all four rates are positive, or when the exchange and at least one gain
+are.  A point that passes this rule must also be solvable in double
+precision: the second-smallest singular value of the k = 0 block must
+reach UNIQUE_RATE_TOL times the sum of the rates and UNIQUE_ROUNDING_TOL
+times the block's largest singular value.  A Cholesky factorization of a
+shifted Gram matrix proves this for most stacks, and the block's SVD
+decides only on a stack that it cannot clear.  The state is then one
+square solve of the block, its redundant first population row replaced by
+the trace row.
 steady_states solves a stack of points with stacked LAPACK calls and
 returns each state as its 19 k = 0 entries, with the eigen-decomposition
 of its 3x3 blocks in M = m_A + m_B, which the density-matrix checks and
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,7 +58,7 @@ from .operators import (
 
 
 class NonUniqueSteadyStateError(RuntimeError):
-    """The generator kernel is not one-dimensional."""
+    """The generator kernel is not one-dimensional, or not resolvable in double precision."""
 
 
 class IntegrationStepError(RuntimeError):
@@ -196,47 +195,24 @@ lives in k = 0.
 """
 
 
-def _nonzero_basis(sectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    # The blocks of these sectors flattened side by side: the positions of
-    # the entries nonzero in some basis superoperator, and the basis
+def _k0_basis() -> tuple[np.ndarray, np.ndarray]:
+    # The positions in the flattened k = 0 block of the 70 of its 361
+    # entries that are nonzero in some basis superoperator, and the basis
     # restricted to them.  Every other entry is zero at every point.
-    flat = np.concatenate(
-        [_BASIS[:, sector][:, :, sector].reshape(7, -1) for sector in sectors], axis=1)
+    sector = EXCITATION_SECTORS[0]
+    flat = _BASIS[:, sector][:, :, sector].reshape(7, -1)
     entries = np.flatnonzero(np.any(flat != 0.0, axis=0))
     return entries, flat[:, entries]
 
 
-# The block of -k is the conjugate of the block of +k (see the module
-# docstring) in every basis superoperator, so its entries have the
-# magnitudes of the +k entries and are finite with them.  Only the k = 0
-# block and the four +k blocks are assembled: 70 of the 361 k = 0 entries
-# and 95 of the 373 +k entries are nonzero.  _SECTOR_BASIS (7, 165) holds
-# the k = 0 entries first.
-_PLUS_SECTORS = EXCITATION_SECTORS[1::2]
-_K0_ENTRIES, _K0_BASIS = _nonzero_basis(EXCITATION_SECTORS[:1])
-_PLUS_ENTRIES, _PLUS_BASIS = _nonzero_basis(_PLUS_SECTORS)
-_SECTOR_BASIS = np.concatenate([_K0_BASIS, _PLUS_BASIS], axis=1)
+_K0_ENTRIES, _K0_BASIS = _k0_basis()
 
-
-def _column_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # 0/1 maps (95, 31) from the +k entries to the 31 columns of the four +k
-    # blocks, one taking the diagonal entry of each column and one the
-    # others, and the size of the block of each column.
-    sizes = np.array([len(sector) for sector in _PLUS_SECTORS])
-    starts = np.cumsum([0, *sizes ** 2])
-    block = np.searchsorted(starts, _PLUS_ENTRIES, side="right") - 1
-    row, col = divmod(_PLUS_ENTRIES - starts[block], sizes[block])
-    column = np.cumsum([0, *sizes])[block] + col
-    diagonal = np.zeros((len(_PLUS_ENTRIES), sizes.sum()))
-    off_diagonal = np.zeros_like(diagonal)
-    diagonal[np.arange(len(column)), column] = row == col
-    off_diagonal[np.arange(len(column)), column] = row != col
-    return diagonal, off_diagonal, np.repeat(sizes, sizes).astype(float)
-
-
-_PLUS_DIAGONAL, _PLUS_OFF_DIAGONAL, _PLUS_COLUMN_SIZES = _column_maps()
-
-KERNEL_RATIO_THRESHOLD = 1e-8
+# Bounds on sigma_2 of the k = 0 block, which must reach both
+# UNIQUE_RATE_TOL times the sum of the four rates, a scale that neither the
+# detuning nor omega_ref inflates, and UNIQUE_ROUNDING_TOL times its largest
+# singular value, far above the rounding error of its SVD.
+UNIQUE_RATE_TOL = 1e-9
+UNIQUE_ROUNDING_TOL = 1e3 * np.finfo(float).eps
 
 # t t^T for the trace row t restricted to k = 0: the rank-one lift that
 # keeps the steady state's own direction out of the k = 0 certificate.
@@ -298,7 +274,7 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
     alone; a point that is refused or fails does not affect the others.
     LAPACK fails a whole stack when one member fails (a singular matrix,
     say), so such a stack is solved again in halves until the failure is
-    pinned on its point.  A point whose generator overflows to non-finite
+    pinned on its point.  A point whose k = 0 block overflows to non-finite
     entries is refused before any LAPACK call.  An empty stack gives empty
     arrays.  See steady_state for the method.
     """
@@ -321,111 +297,83 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
         )
 
 
-def _sector_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The assembled sector entries of a stack of points, from their (n, 7) weights.
+def _k0_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The assembled k = 0 entries of a stack of points, from their (n, 7) weights.
 
-    Returns the 165 entries of _SECTOR_BASIS, (n, 165), each combined
-    elementwise as in build_generator and so bitwise that entry of
-    build_generator; whether every entry of a point is finite; and max|L|
-    of each point.  The -k entries have the magnitudes of the +k entries
-    and the generator is zero outside these blocks' nonzero entries, so
-    the 165 decide both for the whole generator.
+    Returns the 70 entries of _K0_BASIS, (n, 70), each combined elementwise
+    as in build_generator and so bitwise that entry of build_generator;
+    whether every entry of a point is finite; and the largest magnitude of
+    each point's k = 0 block.  omega_ref does not enter the block.
     """
-    # Finite parameters near the float maximum overflow the generator; the
+    # Finite parameters near the float maximum overflow the block; the
     # caller refuses such points before LAPACK sees them.
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = _combine(weights, _SECTOR_BASIS)
+        entries = _combine(weights, _K0_BASIS)
     return (entries, np.all(np.isfinite(entries), axis=-1),
             np.max(np.abs(entries), axis=-1))
 
 
-def _scatter_blocks(
-    values: np.ndarray, positions: np.ndarray, sectors: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    # The (n, d, d) blocks of sectors whose flattened concatenation holds
-    # values (n, m) at positions and zeros elsewhere.
-    sizes = [len(sector) for sector in sectors]
-    bounds = np.cumsum([0] + [d * d for d in sizes])
-    flat = np.zeros((len(values), bounds[-1]), dtype=complex)
-    flat[:, positions] = values
-    return [flat[:, start:stop].reshape(-1, d, d)
-            for start, stop, d in zip(bounds, bounds[1:], sizes)]
-
-
 def _k0_block(entries: np.ndarray) -> np.ndarray:
-    """The k = 0 block (n, 19, 19) of a stack from its _sector_entries."""
-    return _scatter_blocks(entries[:, :len(_K0_ENTRIES)], _K0_ENTRIES,
-                           EXCITATION_SECTORS[:1])[0]
+    """The k = 0 block (n, 19, 19) of a stack from its _k0_entries."""
+    dim = len(EXCITATION_SECTORS[0])
+    flat = np.zeros((len(entries), dim * dim), dtype=complex)
+    flat[:, _K0_ENTRIES] = entries
+    return flat.reshape(-1, dim, dim)
 
 
-def _plus_blocks(entries: np.ndarray) -> list[np.ndarray]:
-    """The blocks of k = 1..4, (n, d, d) each, of a stack from its _sector_entries."""
-    return _scatter_blocks(entries[:, len(_K0_ENTRIES):], _PLUS_ENTRIES, _PLUS_SECTORS)
+def _structurally_unique(weights: np.ndarray) -> np.ndarray:
+    """Which points of (n, 7) weights have a one-dimensional generator kernel.
 
-
-def _dominance_certified(
-    diagonal: np.ndarray, off_diagonal: np.ndarray, sizes: np.ndarray, tau
-) -> np.ndarray:
-    """Which columns count towards proving sigma_min >= 2 tau for their block.
-
-    diagonal holds |b_jj| and off_diagonal the sum over i != j of |b_ij|,
-    as computed in floating point, for columns j of d x d blocks B with d
-    given by sizes; tau > 0 broadcasts against them.  If B is strictly
-    column diagonally dominant, with margin alpha = min_j (|b_jj| - sum_{i
-    != j} |b_ij|) > 0, then ||B^-1||_1 <= 1 / alpha (Varah, Linear Algebra
-    Appl. 11, 3 (1975)), and since ||M||_2 <= sqrt(d) ||M||_1,
-    sigma_min(B) = 1 / ||B^-1||_2 >= alpha / sqrt(d).  A column counts when
-    its margin, less (d + 2) eps (diagonal + off_diagonal), is at least
-    2 tau sqrt(d).  That term holds twice the first-order rounding bound of
-    the magnitudes and of their sum in any order, so a block all of whose
-    columns count has sigma_min >= 2 tau.
+    That depends only on which channels are on: all four rates positive, or
+    a positive exchange and at least one positive gain.  gamma_d_a > 0
+    always holds.  tests/exact.py checks the rule with exact ranks of all
+    nine sector blocks over every zero pattern of the other four.
     """
-    slack = (sizes + 2.0) * np.finfo(float).eps * (diagonal + off_diagonal)
-    return diagonal - off_diagonal - slack >= 2.0 * tau * np.sqrt(sizes)
+    gain_a, _, gain_b, damping_b, exchange = (weights[:, j] > 0.0 for j in range(5))
+    return (gain_a & gain_b & damping_b) | (exchange & (gain_a | gain_b))
 
 
-def _kernel_certified(block0: np.ndarray, plus_entries: np.ndarray,
-                      gen_scale: np.ndarray) -> bool:
-    """Whether every point of the stack provably passes the kernel test.
+def _structural_refusal(weights: np.ndarray) -> NonUniqueSteadyStateError:
+    """The refusal of one point whose zero parameters leave a larger kernel."""
+    if weights[0] == 0.0 and weights[2] == 0.0:
+        reason = "both gains are zero"
+    else:
+        # Here epsilon is zero and so is one of gamma_g_a, gamma_g_b, gamma_d_b.
+        zero = [f.name for f, w in zip(fields(SystemParams), weights[:5]) if w == 0.0]
+        reason = f"{', '.join(zero[:-1])} and {zero[-1]} are zero"
+    return NonUniqueSteadyStateError(f"steady state is not unique: {reason}")
 
-    block0 is the k = 0 block (n, 19, 19) of finite points, plus_entries
-    their 95 +k entries (see _SECTOR_BASIS) and gen_scale their max|L|.
-    With tau = KERNEL_RATIO_THRESHOLD * max|L|, the test passes when the
-    second-smallest singular value of the k = 0 block and the smallest of
-    each k = 1..4 block are at least tau, since each +k set counts twice.
-    Both are proven with a margin of 2 tau, far beyond the SVD's own error
-    of about d^2 eps max|L|.
 
-    For k >= 1, every column of the four blocks must pass
-    _dominance_certified.  Its column sums are the magnitudes of the 95
-    entries times the fixed 0/1 maps _PLUS_DIAGONAL and _PLUS_OFF_DIAGONAL,
-    so no +k block is built and no LAPACK routine runs.  For k = 0, a
+def _conditioning_certified(block: np.ndarray, scale: np.ndarray,
+                            rates: np.ndarray) -> bool:
+    """Whether every point of the stack provably passes the conditioning test.
+
+    block is the k = 0 block B (n, 19, 19) of finite points, scale its
+    largest magnitude and rates the sum of each point's four rates.  The
+    test asks sigma_2(B) >= max(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL
+    * sigma_1(B)); tau is that bound with ||B||_F >= sigma_1 in its place.
+    sigma_2 >= 2 tau is proven, far beyond the SVD's own error of about
+    d^2 eps sigma_1, so a certified point passes the SVD test as well.  A
     Cholesky factorization of G - s I that succeeds proves lambda_min(G) >
     s up to its rounding, with G = B^H B + c^2 t t^T, t the trace row and
-    c = max|L|; a rank-one lift cannot raise the smallest eigenvalue past
+    c = scale; a rank-one lift cannot raise the smallest eigenvalue past
     the second one, so lambda_min(G) <= sigma_2^2.  The shift s = (2 tau)^2
-    + 2 (d + 2) eps tr(G) holds twice the first-order rounding bounds of
-    the Gram product and of the Cholesky factorization (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., ch. 10).  False means
-    unproven, not refused.
+    + 2 (d + 2) eps tr(G) holds twice the first-order rounding bounds of the
+    Gram product and of the factorization (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 10).  False means unproven, not
+    refused.
     """
-    n, dim = block0.shape[:2]
-    tau = KERNEL_RATIO_THRESHOLD * gen_scale
-    # Overflowing column sums, Gram entries or shifts fail a column, fail
-    # the factorization or make its factor non-finite, which only sends the
-    # stack to the SVDs.
+    n, dim = block.shape[:2]
+    # Overflowing Gram entries or shifts fail the factorization or make its
+    # factor non-finite, which only sends the stack to the SVD.
     with np.errstate(over="ignore", invalid="ignore"):
-        magnitudes = np.abs(plus_entries)
-        if not np.all(_dominance_certified(
-                magnitudes @ _PLUS_DIAGONAL, magnitudes @ _PLUS_OFF_DIAGONAL,
-                _PLUS_COLUMN_SIZES, tau[:, None])):
-            return False
-        gram = np.swapaxes(block0.conj(), -1, -2) @ block0
-        gram += (gen_scale ** 2)[:, None, None] * _K0_TRACE_GRAM
+        gram = np.swapaxes(block.conj(), -1, -2) @ block
         diagonal = gram.reshape(n, dim * dim)[:, ::dim + 1]
+        frobenius = np.sqrt(np.sum(diagonal.real, axis=-1))
+        tau = np.maximum(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * frobenius)
+        gram += (scale ** 2)[:, None, None] * _K0_TRACE_GRAM
         trace = np.sum(diagonal.real, axis=-1)
-        floor = (2.0 * KERNEL_RATIO_THRESHOLD * gen_scale) ** 2
-        diagonal -= (floor + 2 * (dim + 2) * np.finfo(float).eps * trace)[:, None]
+        diagonal -= ((2.0 * tau) ** 2 + 2 * (dim + 2) * np.finfo(float).eps * trace)[:, None]
         try:
             factor = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -434,8 +382,8 @@ def _kernel_certified(block0: np.ndarray, plus_entries: np.ndarray,
 
 
 def _solve_stack(weights: np.ndarray) -> SteadyStates:
-    entries, finite, gen_scale = _sector_entries(weights)
-    block0 = _k0_block(entries)
+    entries, finite, gen_scale = _k0_entries(weights)
+    structural = _structurally_unique(weights)
 
     errors: list[Exception | None] = [None] * len(weights)
     for i in np.flatnonzero(~finite):
@@ -443,32 +391,30 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
             "generator has non-finite entries: the parameters overflow "
             "double precision"
         )
-    refused = np.zeros(len(weights), dtype=bool)
-    # A stack with an overflowing point is never certified, which keeps its
-    # non-finite entries away from LAPACK.
-    if not (np.all(finite) and _kernel_certified(
-            block0, entries[:, len(_K0_ENTRIES):], gen_scale)):
-        # The rule itself: the two smallest of the 81 singular values, with
-        # each +k set entering the union twice.  The block of -k has the
-        # singular values of the block of +k (see the module docstring), so
-        # k = 0 and the four +k blocks decide uniqueness.
-        values = [np.linalg.svd(b, compute_uv=False)
-                  for b in [block0[finite], *_plus_blocks(entries[finite])]]
-        singular = np.full((len(weights), 81), np.nan)
-        singular[finite] = np.sort(np.concatenate(values + values[1:], axis=-1), axis=-1)
-        refused = singular[:, 1] < KERNEL_RATIO_THRESHOLD * gen_scale
-        for i in np.flatnonzero(refused):
-            errors[i] = NonUniqueSteadyStateError(
-                "steady state is not unique: two smallest singular values "
-                f"{singular[i, 0]:.3e}, {singular[i, 1]:.3e} against scale "
-                f"{gen_scale[i]:.3e}"
-            )
-    unique = finite & ~refused
+    for i in np.flatnonzero(finite & ~structural):
+        errors[i] = _structural_refusal(weights[i])
+    candidate = finite & structural
+    block = _k0_block(entries[candidate])
+    scale = gen_scale[candidate]
+    rates = np.sum(weights[candidate, :4], axis=-1)
+    if not _conditioning_certified(block, scale, rates):
+        # The test itself, from the singular values of the k = 0 block.
+        singular = np.linalg.svd(block, compute_uv=False)
+        bound = np.maximum(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * singular[:, 0])
+        conditioned = singular[:, -2] >= bound
+        for j, i in enumerate(np.flatnonzero(candidate)):
+            if not conditioned[j]:
+                errors[i] = NonUniqueSteadyStateError(
+                    "steady state is not unique to double precision: "
+                    f"sigma_2 {singular[j, -2]:.3e} of the k = 0 block is below "
+                    f"{bound[j]:.3e}"
+                )
+        block, scale = block[conditioned], scale[conditioned]
+    unique = np.array([e is None for e in errors], dtype=bool)
 
     # Trace preservation makes the nine population rows of the k = 0 block
     # sum to zero, so the first, <+1,+1|rho|+1,+1>, is redundant: the trace
     # row takes its place and the sector system becomes square.
-    block = block0[unique]
     square = block.copy()
     square[:, 0] = _K0_TRACE
     rhs = np.zeros((len(square), len(_K0_TRACE), 1), dtype=complex)
@@ -479,7 +425,7 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
     x = x / sector_trace(x).real[:, None]
 
     residual = np.linalg.norm((block @ x[..., None])[..., 0], axis=-1)
-    tol = 1e-10 * (1.0 + gen_scale[unique])
+    tol = 1e-10 * (1.0 + scale)
     eigenvalues, eigenvectors = np.linalg.eigh(state_blocks(x, M_BLOCKS))
     invalid = sector_state_errors(x, eigenvalues)
     for j, i in enumerate(np.flatnonzero(unique)):
@@ -509,28 +455,22 @@ def steady_state(
 ) -> np.ndarray | tuple[np.ndarray, float]:
     """Unique steady state of the generator, as a valid 9x9 density matrix.
 
-    The generator is block-diagonal over EXCITATION_SECTORS, so its singular
-    values are those of the nine diagonal blocks, each assembled directly
-    from the nonzero entries of the basis restricted to its sector.  The
-    block of sector -k is the complex conjugate of the block of +k under the
-    index swap rho_rc <-> rho_cr, so only the blocks of k = 0 and k = 1..4
-    matter and each +k set counts twice.  The kernel is verified
-    one-dimensional through the two smallest of the 81 values before
-    trusting the solution: the second must be at least
-    KERNEL_RATIO_THRESHOLD * max|L|.  A certificate (see _kernel_certified)
-    proves that for most stacks, from the column diagonal dominance of the
-    k = 1..4 blocks (Varah's bound ||B^-1||_1 <= 1 / alpha with ||M||_2 <=
-    sqrt(d) ||M||_1) and a shifted-Gram Cholesky factorization of the k = 0
-    block.  Only a stack it cannot clear, such as a point near or past the
-    threshold, has its five blocks built and decomposed, and the singular
-    values then decide as the rule says and fill the refusal message.  The
-    state is then solved in the 19-dimensional k = 0 sector as one square
-    system: the block with its first, redundant population row replaced by
+    NonUniqueSteadyStateError refuses a point whose zero parameters leave a
+    larger kernel: both gains zero, or no exchange and another rate zero.
+    The message names them.  It also refuses a point whose k = 0 block B_0
+    has sigma_2 below max(UNIQUE_RATE_TOL * (gamma_g_a + gamma_d_a +
+    gamma_g_b + gamma_d_b), UNIQUE_ROUNDING_TOL * sigma_1), printing sigma_2
+    and that bound.  A Cholesky certificate (see _conditioning_certified)
+    proves the bound for most stacks, and the SVD of B_0 decides for the
+    others.  The state is solved in the 19-dimensional k = 0 sector as one
+    square system: B_0 with its first, redundant population row replaced by
     the trace row, right-hand side (1, 0, ..., 0); every other sector of rho
-    is zero.  The residual is checked against all 19 rows of the block, and
-    the density-matrix checks take the lowest eigenvalue from the 3x3 blocks
-    of rho in M = m_A + m_B.  This is steady_states on a stack of one point,
-    whose 19 entries are laid out as the 9x9 matrix here.
+    is zero.  The residual is checked against all 19 rows of B_0, with
+    tolerance 1e-10 (1 + max|B_0|), and the density-matrix checks take the
+    lowest eigenvalue from the 3x3 blocks of rho in M = m_A + m_B.  A point
+    whose B_0 overflows to non-finite entries is refused with ValueError.
+    This is steady_states on a stack of one point, whose 19 entries are
+    laid out as the 9x9 matrix here.
     """
     batch = steady_states([params])
     if batch.errors[0] is not None:

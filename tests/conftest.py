@@ -114,6 +114,32 @@ def system_params(draw, max_epsilon: float = 0.3):
     )
 
 
+@st.composite
+def extreme_params(draw):
+    """Any zero pattern of the rates and exchange, far from the reference scales.
+
+    gamma_g_a, gamma_g_b, gamma_d_b and epsilon are each zero or 1e-6 to
+    1e6 times gamma_d_a = 1; |delta| and |omega_ref| are zero or 1e-3 to
+    1e8.
+    """
+    def scale(low: float, high: float) -> float:
+        if draw(st.booleans()):
+            return 0.0
+        return 10.0 ** draw(st.floats(min_value=low, max_value=high))
+
+    def signed() -> float:
+        return draw(st.sampled_from([-1.0, 1.0])) * scale(-3.0, 8.0)
+
+    return SystemParams(
+        gamma_g_a=scale(-6.0, 6.0),
+        gamma_g_b=scale(-6.0, 6.0),
+        gamma_d_b=scale(-6.0, 6.0),
+        epsilon=scale(-6.0, 6.0),
+        delta=signed(),
+        omega_ref=signed(),
+    )
+
+
 @pytest.fixture(scope="session")
 def fig2_params() -> SystemParams:
     return FIG2

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from conftest import (
     BALANCED,
     FIG2,
     density_matrices,
+    extreme_params,
     random_density,
     system_params,
     wide_range_params,
 )
+import exact
 from quadrature import quadrature_s_rel
 from spinsync import (
     IntegrationStepError,
@@ -33,14 +36,11 @@ from spinsync import (
 from spinsync import liouvillian, sweep
 from spinsync.liouvillian import (
     EXCITATION_SECTORS,
-    KERNEL_RATIO_THRESHOLD,
-    _PLUS_COLUMN_SIZES,
-    _PLUS_DIAGONAL,
-    _PLUS_OFF_DIAGONAL,
-    _dominance_certified,
+    UNIQUE_RATE_TOL,
+    UNIQUE_ROUNDING_TOL,
     _k0_block,
-    _plus_blocks,
-    _sector_entries,
+    _k0_entries,
+    _structurally_unique,
     _weights,
     default_time_step,
     steady_states,
@@ -83,16 +83,54 @@ def direct_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_steady_state(params: SystemParams) -> np.ndarray | None:
-    """Reference solve on the full 81x81 generator, None if not unique.
+def excitation_difference(index: int) -> int:
+    # vec index 9 r + c holds rho[r, c]; joint index 3 a + b holds
+    # |M_VALUES[a], M_VALUES[b]>.
+    row, col = divmod(index, 9)
+    total = [M_VALUES[j // 3] + M_VALUES[j % 3] for j in (row, col)]
+    return total[0] - total[1]
 
-    Uniqueness from the two smallest singular values of the whole generator,
-    the state from the augmented 82x81 least-squares system (generator rows
-    plus the trace row), with no use of the sector structure.
+
+def rule_refusal(params: SystemParams) -> str | None:
+    """The structural refusal text of params, None if its rates allow one steady state.
+
+    Unique when all four rates are positive, or when epsilon and at least
+    one gain are; gamma_d_a is always positive.
+    """
+    if params.gamma_g_a == 0.0 and params.gamma_g_b == 0.0:
+        return "steady state is not unique: both gains are zero"
+    if params.epsilon > 0.0 or min(params.gamma_g_a, params.gamma_g_b, params.gamma_d_b) > 0.0:
+        return None
+    zero = [name for name in ("gamma_g_a", "gamma_g_b", "gamma_d_b", "epsilon")
+            if getattr(params, name) == 0.0]
+    return f"steady state is not unique: {', '.join(zero[:-1])} and {zero[-1]} are zero"
+
+
+def conditioning_refusal(params: SystemParams, k0_block: np.ndarray) -> str | None:
+    """The refusal text of a k = 0 block whose sigma_2 is below the rule's bound."""
+    singular = np.linalg.svd(k0_block, compute_uv=False)
+    rates = params.gamma_g_a + params.gamma_d_a + params.gamma_g_b + params.gamma_d_b
+    bound = max(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * singular[0])
+    if singular[-2] >= bound:
+        return None
+    return ("steady state is not unique to double precision: "
+            f"sigma_2 {singular[-2]:.3e} of the k = 0 block is below {bound:.3e}")
+
+
+K0 = [i for i in range(81) if excitation_difference(i) == 0]
+
+
+def dense_steady_state(params: SystemParams) -> np.ndarray | None:
+    """Reference solve on the full 81x81 generator, None if refused.
+
+    Refused by the rule: a zero pattern that rule_refusal names, or a k = 0
+    block, cut from the dense generator, that conditioning_refusal refuses.
+    The state comes from the augmented 82x81 least-squares system
+    (generator rows plus the trace row), with no use of the sector
+    structure.
     """
     gen = build_generator(params)
-    singular = np.linalg.svd(gen, compute_uv=False)
-    if singular[-2] < KERNEL_RATIO_THRESHOLD * np.max(np.abs(gen)):
+    if rule_refusal(params) or conditioning_refusal(params, gen[np.ix_(K0, K0)]):
         return None
     augmented = np.vstack([gen, trace_row()[None, :]])
     rhs = np.zeros(82, dtype=complex)
@@ -103,24 +141,32 @@ def dense_steady_state(params: SystemParams) -> np.ndarray | None:
     return rho / np.trace(rho).real
 
 
+def dense_tolerance(params: SystemParams) -> float:
+    """1e-10 + 1e-14 cond of the square k = 0 trace-row system that is solved."""
+    square = build_generator(params)[np.ix_(K0, K0)]
+    square[0] = trace_row()[K0]
+    return 1e-10 + 1e-14 * np.linalg.cond(square)
+
+
 def per_point_steady_state(params: SystemParams) -> tuple[np.ndarray, float]:
     """The steady state solved one point at a time, as before the stacked engine.
 
-    Nine block SVDs for uniqueness, one square 19x19 trace-row solve, the
-    residual over the block and the density-matrix checks, all on 2-d
-    arrays cut from the full generator.
+    The nine blocks cut from the full generator; the rule's refusals; one
+    square 19x19 trace-row solve, the residual over the block and the
+    density-matrix checks, all on 2-d arrays.  Where the rule finds one
+    steady state it also asserts that every k != 0 block is nonsingular far
+    above rounding, so each call checks the rule numerically.
     """
     gen = build_generator(params)
-    gen_scale = float(np.max(np.abs(gen)))
     blocks = [gen[np.ix_(sector, sector)] for sector in EXCITATION_SECTORS]
-    singular = np.sort(np.concatenate(
-        [np.linalg.svd(block, compute_uv=False) for block in blocks]
-    ))
-    if singular[1] < KERNEL_RATIO_THRESHOLD * gen_scale:
-        raise NonUniqueSteadyStateError(
-            "steady state is not unique: two smallest singular values "
-            f"{singular[0]:.3e}, {singular[1]:.3e} against scale {gen_scale:.3e}"
-        )
+    refusal = rule_refusal(params)
+    if refusal is not None:
+        raise NonUniqueSteadyStateError(refusal)
+    smallest = min(np.linalg.svd(block, compute_uv=False)[-1] for block in blocks[1:])
+    assert smallest >= UNIQUE_ROUNDING_TOL * np.max(np.abs(gen)), params
+    refusal = conditioning_refusal(params, blocks[0])
+    if refusal is not None:
+        raise NonUniqueSteadyStateError(refusal)
     sector, block = EXCITATION_SECTORS[0], blocks[0]
     square = block.copy()
     square[0] = trace_row()[sector]
@@ -132,7 +178,7 @@ def per_point_steady_state(params: SystemParams) -> tuple[np.ndarray, float]:
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = float(np.linalg.norm(block @ rho.reshape(-1)[sector]))
-    tol = 1e-10 * (1.0 + gen_scale)
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(block))))
     if residual > tol:
         raise LinearSolveError(
             f"steady-state residual {residual:.3e} exceeds {tol:.3e}", residual
@@ -224,16 +270,17 @@ def assert_records_match_per_point(records, points):
 def degenerate_params(rng: np.random.Generator) -> SystemParams:
     """A point on or near a degenerate kernel, one of three kinds.
 
-    Both gains zeroed; spin B's gain zeroed with omega_ref = 1, which leaves
-    spin B a rotating two-state kernel; or an uncoupled point with one rate
-    scaled so that the deciding singular value over max|L| spans about 1e-9
-    to 1e-6, around KERNEL_RATIO_THRESHOLD.
+    Both gains zeroed; spin B's gain and the exchange zeroed with omega_ref
+    = 1, which leaves spin B a rotating two-state kernel; or an uncoupled
+    point with one rate scaled so that it spans about 1e-10 to 1e-8 of the
+    sum of the rates, around UNIQUE_RATE_TOL.
     """
     kind = rng.integers(3)
     if kind == 0:
         return dataclasses.replace(wide_range_params(rng), gamma_g_a=0.0, gamma_g_b=0.0)
     if kind == 1:
-        return dataclasses.replace(wide_range_params(rng), gamma_g_b=0.0, omega_ref=1.0)
+        return dataclasses.replace(wide_range_params(rng), gamma_g_b=0.0, epsilon=0.0,
+                                   omega_ref=1.0)
     params = SystemParams(
         gamma_g_a=float(10.0 ** rng.uniform(-1.0, 1.0)),
         gamma_g_b=float(10.0 ** rng.uniform(-1.0, 1.0)),
@@ -241,18 +288,10 @@ def degenerate_params(rng: np.random.Generator) -> SystemParams:
         delta=float(rng.uniform(-10.0, 10.0)),
         omega_ref=float(rng.uniform(-10.0, 10.0)),
     )
-    scale = np.max(np.abs(build_generator(params)))
+    rates = params.gamma_g_a + params.gamma_d_a + params.gamma_g_b + params.gamma_d_b
     rate = str(rng.choice(["gamma_g_a", "gamma_g_b", "gamma_d_b"]))
     return dataclasses.replace(
-        params, **{rate: float(scale * 10.0 ** rng.uniform(-9.0, -6.0))})
-
-
-def excitation_difference(index: int) -> int:
-    # vec index 9 r + c holds rho[r, c]; joint index 3 a + b holds
-    # |M_VALUES[a], M_VALUES[b]>.
-    row, col = divmod(index, 9)
-    total = [M_VALUES[j // 3] + M_VALUES[j % 3] for j in (row, col)]
-    return total[0] - total[1]
+        params, **{rate: float(rates * 10.0 ** rng.uniform(-10.0, -8.0))})
 
 
 class TestSystemParams:
@@ -374,10 +413,9 @@ class TestExcitationSectors:
             )) <= 1e-13 * scale
 
     def test_sector_blocks_are_generator_blocks_bit_for_bit(self):
-        # Only the entries nonzero in some basis superoperator are combined;
-        # the stack mixes signs of delta and omega_ref, a zero rate and FIG2.
-        # The k = 0 block, and the +k blocks that only the SVDs build, are
-        # those of build_generator.
+        # Only the k = 0 entries nonzero in some basis superoperator are
+        # combined; the stack mixes signs of delta and omega_ref, a zero rate
+        # and FIG2.  The k = 0 block is that of build_generator.
         points = [
             FIG2,
             SystemParams(gamma_g_a=0.3, gamma_d_b=7.0, epsilon=0.2, delta=-0.8,
@@ -386,35 +424,33 @@ class TestExcitationSectors:
             SystemParams(gamma_g_a=2.0, gamma_d_b=0.0, delta=-3e5, omega_ref=40.0),
             dataclasses.replace(BALANCED, delta=-0.1, omega_ref=0.7),
         ]
-        entries, finite, scale = _sector_entries(
+        entries, finite, scale = _k0_entries(
             np.array([_weights(p) for p in points], dtype=float))
-        assert entries.shape == (5, 165) and np.all(finite)
-        blocks = [_k0_block(entries)] + _plus_blocks(entries)
+        assert entries.shape == (5, 70) and np.all(finite)
+        block = _k0_block(entries)
         for i, params in enumerate(points):
-            gen = build_generator(params)
-            assert scale[i] == np.max(np.abs(gen))
-            for sector, block in zip(EXCITATION_SECTORS[:1] + EXCITATION_SECTORS[1::2],
-                                     blocks):
-                assert block[i].tobytes() == gen[np.ix_(sector, sector)].tobytes()
+            k0 = build_generator(params)[np.ix_(K0, K0)]
+            assert block[i].tobytes() == k0.tobytes()
+            assert scale[i] == np.max(np.abs(k0))
 
     def test_scale_and_overflow_mask_from_the_assembled_entries(self):
-        # The -k entries, left out of the assembly, have the magnitudes of
-        # the +k entries, so max|L| and finiteness are those of the whole
-        # generator, bit for bit; the last point is finite near the float
-        # maximum.
+        # max|B_0| and finiteness are those of the k = 0 block of the whole
+        # generator, bit for bit.  omega_ref does not enter that block, so
+        # omega_ref = -1.7e308 is finite there, and so is the last point,
+        # near the float maximum.
         rng = np.random.default_rng(5150)
         points = [wide_range_params(rng) for _ in range(500)] + [
             SystemParams(delta=1e308), SystemParams(omega_ref=-1.7e308),
             SystemParams(gamma_g_a=1e308, delta=1e308),
             SystemParams(epsilon=1.7e308, gamma_d_b=1e308),
         ]
-        _, finite, scale = _sector_entries(np.array([_weights(p) for p in points]))
+        _, finite, scale = _k0_entries(np.array([_weights(p) for p in points]))
         with np.errstate(over="ignore", invalid="ignore"):
-            generators = [build_generator(p) for p in points]
-        assert finite.tolist() == [bool(np.all(np.isfinite(g))) for g in generators]
-        assert np.all(finite[:500]) and not np.any(finite[500:503]) and finite[503]
+            blocks = [build_generator(p)[np.ix_(K0, K0)] for p in points]
+        assert finite.tolist() == [bool(np.all(np.isfinite(b))) for b in blocks]
+        assert np.all(finite[:500]) and finite[500:].tolist() == [False, True, False, True]
         for i in np.flatnonzero(finite):
-            assert scale[i].tobytes() == np.max(np.abs(generators[i])).tobytes()
+            assert scale[i].tobytes() == np.max(np.abs(blocks[i])).tobytes()
 
     def test_overflowing_point_is_refused_with_its_text(self):
         batch = steady_states([SystemParams(delta=1e308), FIG2])
@@ -423,6 +459,45 @@ class TestExcitationSectors:
             "overflow double precision')")
         assert batch.errors[1] is None
         assert np.array_equal(batch.states[1], steady_state(FIG2))
+
+    def test_huge_omega_ref_gives_the_omega_ref_zero_state(self):
+        # The whole generator overflows at omega_ref = 1e308, its k = 0
+        # block does not: the state is bitwise that of omega_ref = 0.
+        for params in (SystemParams(), FIG2, dataclasses.replace(BALANCED, delta=0.3)):
+            batch = steady_states([dataclasses.replace(params, omega_ref=1e308), params])
+            assert batch.errors == (None, None)
+            assert batch.sectors[0].tobytes() == batch.sectors[1].tobytes()
+            assert batch.residuals[0].tobytes() == batch.residuals[1].tobytes()
+
+
+class TestExactRule:
+    """The structural rule against exact kernel dimensions over Q(i)."""
+
+    def test_float_basis_within_one_ulp_of_exact(self):
+        want = np.zeros((7, 81, 81), dtype=complex)
+        for j, basis in enumerate(exact.BASIS):
+            for (row, col), (re, im) in basis.items():
+                assert float(re) == re and float(im) == im
+                want[j, row, col] = complex(float(re), float(im))
+        for got, part in ((liouvillian._BASIS.real, want.real),
+                          (liouvillian._BASIS.imag, want.imag)):
+            assert np.all(np.abs(got - part) <= np.spacing(np.abs(part)))
+
+    @pytest.mark.parametrize(
+        "pattern", list(itertools.product((0, 1), repeat=4)),
+        ids=lambda on: "-".join(name if bit else f"no_{name}" for name, bit in zip(
+            ("gain_a", "gain_b", "damping_b", "exchange"), on)),
+    )
+    def test_kernel_is_one_dimensional_exactly_where_the_rule_says(self, pattern):
+        # pattern switches gamma_g_a, gamma_g_b, gamma_d_b and epsilon on or
+        # off.  Those on cycle through 2^-10, 1 and 2^10 across four
+        # detunings, and omega_ref alternates between 0 and 5/4.
+        sizes = (2.0 ** -10, 1.0, 2.0 ** 10)
+        for i, delta in enumerate((0.0, 0.375, -2.5, 7.0)):
+            g_a, g_b, d_b, eps = (sizes[(i + j) % 3] * on for j, on in enumerate(pattern))
+            weights = np.array([[g_a, 1.0, g_b, d_b, eps, delta, 1.25 * (i % 2)]])
+            dimension = exact.kernel_dimension(weights[0].tolist())
+            assert (dimension == 1) == _structurally_unique(weights)[0], (weights, dimension)
 
 
 class TestSteadyState:
@@ -464,19 +539,42 @@ class TestSteadyState:
         records, chunk = sweep._evaluate_chunk([], QuadratureSpec())
         assert records == [] and chunk.errors == ()
 
-    def test_five_sector_svds_per_stack(self, monkeypatch):
-        # The -k blocks share the singular values of the +k blocks, so only
-        # k = 0 and k = 1..4 are decomposed.
-        shapes = []
-        svd = np.linalg.svd
+    @pytest.mark.parametrize(
+        "params, text",
+        [
+            (SystemParams(gamma_g_a=0.0, gamma_g_b=0.0, epsilon=0.1), "both gains are zero"),
+            (SystemParams(gamma_g_a=0.0, gamma_g_b=0.0), "both gains are zero"),
+            (SystemParams(gamma_g_b=0.0, omega_ref=1.0), "gamma_g_b and epsilon are zero"),
+            (SystemParams(gamma_d_b=0.0), "gamma_d_b and epsilon are zero"),
+            (SystemParams(gamma_g_a=0.0, gamma_d_b=0.0),
+             "gamma_g_a, gamma_d_b and epsilon are zero"),
+        ],
+    )
+    def test_refusal_names_the_zero_parameters(self, params, text):
+        with pytest.raises(NonUniqueSteadyStateError) as raised:
+            steady_state(params)
+        assert str(raised.value) == f"steady state is not unique: {text}"
 
-        def counting_svd(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return svd(a, *args, **kwargs)
+    def test_ill_conditioned_refusal_prints_sigma_2_and_its_bound(self):
+        # gamma_g_a = 1e-12 leaves sigma_2 of the k = 0 block near 1e-12,
+        # below 1e-9 times the rate sum 3.
+        params = SystemParams(gamma_g_a=1e-12)
+        block = build_generator(params)[np.ix_(K0, K0)]
+        singular = np.linalg.svd(block, compute_uv=False)
+        with pytest.raises(NonUniqueSteadyStateError) as raised:
+            steady_state(params)
+        assert str(raised.value) == (
+            "steady state is not unique to double precision: sigma_2 "
+            f"{singular[-2]:.3e} of the k = 0 block is below {3.0 * UNIQUE_RATE_TOL:.3e}")
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        steady_states([FIG2, BALANCED, SystemParams(gamma_g_b=0.0)])
-        assert shapes == [(3, d, d) for d in (19, 16, 10, 4, 1)]
+    def test_one_k0_svd_per_uncleared_stack(self, monkeypatch):
+        # Only the k = 0 block is decomposed, and only for the points that
+        # the rule lets through, when the certificate cannot clear them.
+        shapes = count_svds(monkeypatch)
+        batch = steady_states([FIG2, BALANCED, SystemParams(gamma_g_b=0.0),
+                               SystemParams(gamma_g_a=1e-12)])
+        assert shapes == [(3, 19, 19)]
+        assert [e is None for e in batch.errors] == [True, True, False, False]
 
     @settings(max_examples=15, deadline=None)
     @given(system_params())
@@ -517,7 +615,6 @@ class TestDenseOracle:
         # to 1e6, omega_ref up to 1e3.  States agree to within the
         # conditioning of the square k = 0 system that is solved.
         rng = np.random.default_rng(20121)
-        sector = EXCITATION_SECTORS[0]
         refused = 0
         for _ in range(300):
             params = wide_range_params(rng)
@@ -527,11 +624,32 @@ class TestDenseOracle:
                 with pytest.raises(NonUniqueSteadyStateError):
                     steady_state(params)
                 continue
-            square = build_generator(params)[np.ix_(sector, sector)]
-            square[0] = trace_row()[sector]
-            bound = 1e-10 + 1e-14 * np.linalg.cond(square)
-            assert np.max(np.abs(steady_state(params) - reference)) <= bound, params
+            assert np.max(np.abs(steady_state(params) - reference)) <= (
+                dense_tolerance(params)), params
         assert 0 < refused < 300
+
+    @settings(max_examples=60, deadline=None)
+    @given(extreme_params())
+    def test_extreme_draws_match_dense_solve(self, params):
+        # Every zero pattern, rates from 1e-6 to 1e6, |delta| and omega_ref
+        # up to 1e8.  An accepted point is a density matrix within the
+        # conditioning of the dense state, and omega_ref leaves it unchanged.
+        # The dense solve is taken at omega_ref = 0: near omega_ref = 1e7 its
+        # least-squares rank decision, relative to max|L|, drops the k = 0
+        # state's small singular directions.
+        unrotated = dataclasses.replace(params, omega_ref=0.0)
+        batch = steady_states([params, unrotated])
+        reference = dense_steady_state(unrotated)
+        assert (batch.errors[0] is None) == (reference is not None), params
+        assert repr(batch.errors[0]) == repr(batch.errors[1])
+        if reference is None:
+            return
+        rho = batch.states[0]
+        assert np.max(np.abs(rho - reference)) <= dense_tolerance(params)
+        assert np.array_equal(batch.sectors[0], batch.sectors[1])
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
 
 class TestPerPointOracle:
@@ -582,10 +700,10 @@ class TestPerPointOracle:
         assert NonUniqueSteadyStateError in seen
 
     def test_degenerate_refusals(self):
-        # Two rates zeroed, both gains or spin B's gain and damping, so the
-        # two smallest singular values are rounding noise.  Those printed
-        # values may differ (a +k block and its -k twin give the same set
-        # here), but every decision and its cause must not.
+        # Two rates zeroed: both gains, which the rule refuses whatever
+        # epsilon, or spin B's gain and damping, which gain A and the
+        # exchange still hold to one steady state.  Every status, refusal
+        # text included, is the per-point path's.
         rng = np.random.default_rng(4242)
         points = []
         for _ in range(300):
@@ -595,12 +713,10 @@ class TestPerPointOracle:
                 wide_range_params(rng), **dict.fromkeys(zeroed, 0.0)))
         records = sweep._run_points(points, QuadratureSpec())
         for record, params in zip(records, points):
-            reference = per_point_record(params)
-            assert (record.status.partition(" values ")[0]
-                    == reference.status.partition(" values ")[0]), params
-        refused = sum(r.status.startswith("solve: steady state is not unique")
-                      for r in records)
-        assert 0 < refused < 300
+            assert record.status == per_point_record(params).status, params
+        statuses = {r.status for r in records}
+        assert "solve: steady state is not unique: both gains are zero" in statuses
+        assert "ok" in statuses
 
 
 def count_svds(monkeypatch) -> list[tuple[int, ...]]:
@@ -628,11 +744,11 @@ def stack_outcomes(points, size: int) -> list[tuple[bytes, bytes, str]]:
 
 
 class TestKernelCertificate:
-    """The certificate against the SVD rule that it stands in for.
+    """The certificate against the SVD test that it stands in for.
 
-    Column dominance clears the k = 1..4 blocks and a shifted-Gram Cholesky
-    the k = 0 block; a stack that either cannot clear has its five blocks
-    decomposed.
+    A shifted-Gram Cholesky factorization clears the k = 0 block of every
+    point of a stack that the rule lets through, or the block's singular
+    values decide.
     """
 
     def test_reference_points_take_no_svd(self, monkeypatch):
@@ -653,8 +769,8 @@ class TestKernelCertificate:
         assert all(error == "None" for _, _, error in outcomes)
 
     def test_one_cholesky_and_one_solve_per_tongue_chunk(self, monkeypatch):
-        # The certified path factors only the k = 0 block and never builds a
-        # k >= 1 block, so it takes no product of one either.
+        # The steady path assembles only the 70 k = 0 entries, factors only
+        # the k = 0 block and takes no SVD.
         weights = sweep._grid(FIG2, epsilon=np.linspace(0.0, 0.1, 4),
                               delta=np.linspace(-1.0, 1.0, 8))
         calls = {}
@@ -668,58 +784,57 @@ class TestKernelCertificate:
 
             monkeypatch.setattr(np.linalg, name, recording)
 
-        def no_plus_blocks(entries):
-            raise AssertionError("a k >= 1 block was built")
+        assembled = []
+        combine = liouvillian._combine
 
-        monkeypatch.setattr(liouvillian, "_plus_blocks", no_plus_blocks)
+        def recording_combine(weights, basis):
+            assembled.append(basis.shape)
+            return combine(weights, basis)
+
+        monkeypatch.setattr(liouvillian, "_combine", recording_combine)
         records, _ = sweep._evaluate_chunk(weights, QuadratureSpec())
         assert all(r.status == "ok" for r in records)
+        assert assembled == [(7, 70)]
         assert calls == {"cholesky": [(32, 19, 19)], "solve": [(32, 19, 19)],
                          "svd": []}
 
     def test_same_outcomes_as_the_svd_rule(self, monkeypatch):
         # Wide-range draws like the single-point benchmark's, and points on
         # or near a degenerate kernel; alone and in chunks.  Forcing the
-        # SVDs must not change one bit or one refusal text.
+        # SVD must not change one bit or one refusal text.
         rng = np.random.default_rng(1010)
         points = ([wide_range_params(rng) for _ in range(3000)]
                   + [degenerate_params(rng) for _ in range(600)])
-        verdicts, dominant = [], []
-        certified = liouvillian._kernel_certified
-        dominance = liouvillian._dominance_certified
+        verdicts = []
+        certified = liouvillian._conditioning_certified
 
-        def recording(*args):
-            dominant.append(None)
-            verdicts.append(certified(*args))
-            return verdicts[-1]
+        def recording(block, *args):
+            # A stack that the rule refuses whole leaves the test nothing.
+            verdict = certified(block, *args)
+            verdicts.append(verdict if len(block) else None)
+            return verdict
 
-        def recording_dominance(*args):
-            columns = dominance(*args)
-            dominant[-1] = bool(np.all(columns))
-            return columns
-
-        monkeypatch.setattr(liouvillian, "_kernel_certified", recording)
-        monkeypatch.setattr(liouvillian, "_dominance_certified", recording_dominance)
+        monkeypatch.setattr(liouvillian, "_conditioning_certified", recording)
         alone = stack_outcomes(points, 1)
         chunked = stack_outcomes(points, sweep.CHUNK_SIZE)
-        refused = np.array(["NonUniqueSteadyStateError" in error for _, _, error in alone])
-        verdicts = np.array(verdicts[:len(points)])
-        dominant = np.array(dominant[:len(points)])
-        # Every branch is taken: certified; refused; and sent to the SVDs
-        # but unique after all, by a k >= 1 block that is not dominant or by
-        # a k = 0 block that the Cholesky cannot clear.
-        assert np.sum(verdicts) > 0 and np.sum(refused) > 0
-        assert not np.any(verdicts & refused)
-        assert np.sum(~dominant & ~refused) > 0
-        assert np.sum(dominant & ~verdicts & ~refused) > 0
-        monkeypatch.setattr(liouvillian, "_kernel_certified", lambda *args: False)
+        branches = set()
+        for verdict, (_, _, error) in zip(verdicts, alone):
+            outcome = ("ok" if error == "None" else
+                       "sigma_2" if "not unique to double precision" in error else
+                       "rule" if "not unique" in error else error)
+            branches.add(({None: "untested", True: "certified", False: "svd"}[verdict],
+                          outcome))
+        # Every branch is taken, and a certified point is never refused.
+        assert branches == {("untested", "rule"), ("certified", "ok"),
+                            ("svd", "sigma_2"), ("svd", "ok")}
+        monkeypatch.setattr(liouvillian, "_conditioning_certified", lambda *args: False)
         assert stack_outcomes(points, 1) == alone
         assert stack_outcomes(points, sweep.CHUNK_SIZE) == chunked
 
     def test_same_decisions_as_the_nine_block_rule(self):
-        # The per-point path decomposes all nine blocks.  On a degenerate
-        # point the printed noise values may differ (a +k set counts twice
-        # here), never the decision, its cause or the state.
+        # The per-point path cuts all nine blocks from the dense generator,
+        # restates the rule and checks its k != 0 blocks.  Every decision,
+        # refusal text and state agrees.
         rng = np.random.default_rng(2020)
         points = ([wide_range_params(rng) for _ in range(3000)]
                   + [degenerate_params(rng) for _ in range(600)])
@@ -728,107 +843,9 @@ class TestKernelCertificate:
                 rho, _ = per_point_steady_state(params)
             except (NonUniqueSteadyStateError, LinearSolveError,
                     InvalidStateError) as exc:
-                assert (error.partition(" values ")[0]
-                        == repr(exc).partition(" values ")[0]), params
+                assert error == repr(exc), params
                 continue
             assert error == "None" and state == rho.tobytes(), params
-
-
-@st.composite
-def dominance_cases(draw):
-    """A complex d x d block with entries of magnitude 1e-6 to 1e6, and tau.
-
-    Each diagonal entry is the off-diagonal sum of its column times a ratio
-    near 1, so that columns fall on both sides of dominance; tau is drawn
-    relative to the largest entry.
-    """
-    d = draw(st.sampled_from([1, 4, 10, 16]))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    block = (10.0 ** rng.uniform(-6.0, 6.0, size=(d, d))
-             * np.exp(2j * np.pi * rng.random((d, d))))
-    if d > 1:
-        off = np.sum(np.abs(block), axis=0) - np.abs(np.diagonal(block))
-        low = draw(st.floats(min_value=-0.2, max_value=0.2))
-        ratio = 10.0 ** rng.uniform(low, low + draw(st.floats(0.0, 0.5)), size=d)
-        block[np.diag_indices(d)] *= off * ratio / np.abs(np.diagonal(block))
-    tau = np.max(np.abs(block)) * 10.0 ** draw(st.floats(min_value=-12.0, max_value=0.0))
-    return block, tau
-
-
-def column_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|b_jj|, the sum over i != j of |b_ij|, and the block size, per column."""
-    magnitudes = np.abs(block)
-    inner = ~np.eye(len(block), dtype=bool)
-    return (np.diagonal(magnitudes).copy(), np.sum(magnitudes * inner, axis=0),
-            np.full(len(block), float(len(block))))
-
-
-class TestColumnDominance:
-    """The column-dominance bound sigma_min(B) >= alpha / sqrt(d) and its maps."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(dominance_cases(), st.integers(min_value=0, max_value=15))
-    def test_certified_block_has_its_margin(self, case, column):
-        block, tau = case
-        if np.all(_dominance_certified(*column_sums(block), tau)):
-            assert np.linalg.svd(block, compute_uv=False).min() >= 2.0 * tau
-        # One column short of dominance is never certified, even at a far
-        # smaller tau.
-        column %= len(block)
-        diagonal, off, sizes = column_sums(block)
-        short = block.copy()
-        short[column, column] *= off[column] * (1.0 - 1e-12) / diagonal[column]
-        columns = _dominance_certified(*column_sums(short), tau * 1e-12)
-        assert not columns[column]
-
-    @pytest.mark.parametrize("d", [4, 10, 16])
-    def test_sqrt_d_is_needed(self, d):
-        # B = (I - t e_1 1^T) / eta has B^-1 = eta I + c e_1 1^T with
-        # t = c / (eta + c): its margin is alpha = 1 / ||B^-1||_1 = 1 / (eta
-        # + c), but sigma_min(B) is about alpha / sqrt(d).  Just above
-        # sigma_min / 2, tau is not certified, though alpha >= 2 tau.
-        eta, c = 1e-3, 1.0
-        block = (np.eye(d) - c / (eta + c) * np.outer(np.eye(d)[0], np.ones(d))) / eta
-        smallest = np.linalg.svd(block, compute_uv=False).min()
-        diagonal, off, sizes = column_sums(block)
-        alpha = np.min(diagonal - off)
-        assert alpha / math.sqrt(d) <= smallest < 0.6 * alpha
-        tau = 0.5 * smallest * (1.0 + 1e-9)
-        assert alpha >= 2.0 * tau
-        assert not np.all(_dominance_certified(diagonal, off, sizes, tau))
-        assert np.all(_dominance_certified(diagonal, off, sizes, 0.49 * alpha / math.sqrt(d)))
-        # A margin of exactly 2 tau sqrt(d) leaves nothing for rounding.
-        assert not np.all(_dominance_certified(diagonal, off, sizes,
-                                               alpha / (2.0 * math.sqrt(d))))
-
-    def test_certified_plus_blocks_have_their_margin(self):
-        # The real k = 1..4 blocks of wide-range and degenerate draws: the
-        # 0/1 maps give their column sums, and a block whose columns all
-        # count has sigma_min >= 2 tau.
-        rng = np.random.default_rng(4711)
-        points = ([wide_range_params(rng) for _ in range(2000)]
-                  + [degenerate_params(rng) for _ in range(600)])
-        entries, finite, scale = _sector_entries(np.array([_weights(p) for p in points]))
-        assert np.all(finite)
-        tau = KERNEL_RATIO_THRESHOLD * scale
-        magnitudes = np.abs(entries[:, len(liouvillian._K0_ENTRIES):])
-        diagonal = magnitudes @ _PLUS_DIAGONAL
-        off = magnitudes @ _PLUS_OFF_DIAGONAL
-        columns = _dominance_certified(diagonal, off, _PLUS_COLUMN_SIZES, tau[:, None])
-        start = 0
-        for block in _plus_blocks(entries):
-            stop = start + block.shape[-1]
-            want = [np.stack(sums) for sums in zip(*(column_sums(b) for b in block))]
-            assert np.array_equal(diagonal[:, start:stop], want[0])
-            assert_allclose(off[:, start:stop], want[1], rtol=1e-14, atol=0.0)
-            assert np.array_equal(_PLUS_COLUMN_SIZES[start:stop], want[2][0])
-            passed = np.all(columns[:, start:stop], axis=-1)
-            smallest = np.linalg.svd(block, compute_uv=False)[:, -1]
-            assert np.all(smallest[passed] >= 2.0 * tau[passed])
-            start = stop
-        assert start == _PLUS_DIAGONAL.shape[1] == 31
-        certified = np.all(columns, axis=-1)
-        assert np.sum(~certified) > 0 and np.mean(certified[:2000]) > 0.99
 
 
 class TestEvolve:
