@@ -179,16 +179,25 @@ def _cmd_dynamics(args) -> int:
 def _cmd_regress(args) -> int:
     try:
         with open(args.infile) as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or args.x not in reader.fieldnames \
-                    or args.y not in reader.fieldnames:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or args.x not in header or args.y not in header:
                 print(f"columns {args.x!r}/{args.y!r} not found in "
                       f"{args.infile}", file=sys.stderr)
                 return 1
+            # A repeated column name reads its last column.
+            column = {name: j for j, name in enumerate(header)}
+            ix, iy = column[args.x], column[args.y]
             xs, ys = [], []
             for row in reader:
-                xs.append(float(row[args.x]))
-                ys.append(float(row[args.y]))
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    print(f"line {reader.line_num} of {args.infile} has {len(row)} "
+                          f"fields, the header {len(header)}", file=sys.stderr)
+                    return 1
+                xs.append(float(row[ix]))
+                ys.append(float(row[iy]))
     except OSError as exc:
         print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
         return 1

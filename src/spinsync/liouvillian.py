@@ -15,18 +15,24 @@ basis superoperators built once.  Every term conserves the total excitation
 m_A + m_B on each side of rho, so the generator is block-diagonal in the
 excitation difference k between the row and the column of rho (nine sectors,
 k = -4..4).  The trace, and with it the steady state, lives in the
-19-dimensional k = 0 sector, so the steady path assembles only that block,
-from its 70 nonzero entries; omega_ref does not enter it.  Whether the
-steady state is unique depends only on which channels are on: it is when
-all four rates are positive, or when the exchange and at least one gain
-are.  A point that passes this rule must also be solvable in double
-precision: the second-smallest singular value of the k = 0 block must
-reach UNIQUE_RATE_TOL times the sum of the rates and UNIQUE_ROUNDING_TOL
-times the block's largest singular value.  A Cholesky factorization of a
-shifted Gram matrix proves this for most stacks, and the block's SVD
-decides only on a stack that it cannot clear.  The state is then one
-square solve of the block, its redundant first population row replaced by
-the trace row.
+19-dimensional k = 0 sector, so the steady path needs only that block B_0,
+and omega_ref does not enter it.  The generator maps Hermitian matrices to
+Hermitian matrices, so in a Hermitian basis of the sector (the nine
+populations, then sqrt(2) times the real and the imaginary parts of the
+five upper coherences) the block is the real matrix R = T^H B_0 T, with T
+unitary (the coherence-vector form: Alicki and Lendi, Quantum Dynamical
+Semigroups and Applications, Springer 1987); the steady path assembles R from its 64 nonzero entries and works
+in these real coordinates y = T^H x throughout.  Whether the steady state
+is unique depends only on which channels are on: it is when all four
+rates are positive, or when the exchange and at least one gain are.  A
+point that passes this rule must also be solvable in double precision:
+the second-smallest singular value of the k = 0 block, which R shares
+with B_0, must reach UNIQUE_RATE_TOL times the sum of the rates and
+UNIQUE_ROUNDING_TOL times the block's largest singular value.  A Cholesky
+factorization of a shifted Gram matrix proves this for most stacks, and
+the block's SVD decides only on a stack that it cannot clear.  The state
+is then one real square solve of R, its redundant first population row
+replaced by the trace row; x = T y is Hermitian by construction.
 steady_states solves a stack of points with stacked LAPACK calls and
 returns each state as its 19 k = 0 entries, with the eigen-decomposition
 of its 3x3 blocks in M = m_A + m_B, which the density-matrix checks and
@@ -47,10 +53,8 @@ from .operators import (
     M_VALUES,
     LinearSolveError,
     embed,
-    sector_hermitian_part,
     sector_matrix,
     sector_state_errors,
-    sector_trace,
     spin1_operators,
     state_blocks,
     validate_density_matrix,
@@ -195,17 +199,91 @@ lives in k = 0.
 """
 
 
-def _k0_basis() -> tuple[np.ndarray, np.ndarray]:
-    # The positions in the flattened k = 0 block of the 70 of its 361
-    # entries that are nonzero in some basis superoperator, and the basis
-    # restricted to them.  Every other entry is zero at every point.
-    sector = EXCITATION_SECTORS[0]
-    flat = _BASIS[:, sector][:, :, sector].reshape(7, -1)
+def _nonzero_columns(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The positions of the columns of a flattened basis (7, m) that are
+    # nonzero in some basis superoperator, and the basis restricted to them.
+    # Every other entry is zero at every point.
     entries = np.flatnonzero(np.any(flat != 0.0, axis=0))
     return entries, flat[:, entries]
 
 
-_K0_ENTRIES, _K0_BASIS = _k0_basis()
+def _distinct_columns(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The columns of basis (7, m) that differ other than by sign, and for
+    # each column the index of its distinct column and the sign that gives
+    # it back: basis == distinct[:, index] * sign.  Rounding is symmetric,
+    # so the combination of -b is the negated combination of b, bit for bit
+    # but for the sign of a zero, and each distinct column is combined once.
+    parts = np.concatenate([basis.real, basis.imag])
+    sign = np.sign(parts[np.argmax(parts != 0.0, axis=0), np.arange(basis.shape[1])])
+    _, first, index = np.unique(parts * sign, axis=1, return_index=True,
+                                return_inverse=True)
+    return (basis * sign)[:, first], index.reshape(-1), sign
+
+
+# The seven basis superoperators restricted to the k = 0 sector, (7, 19, 19).
+_K0_BLOCKS = _BASIS[:, EXCITATION_SECTORS[0]][:, :, EXCITATION_SECTORS[0]]
+
+# The complex k = 0 block B_0 has 70 nonzero entries, from 19 distinct
+# columns of the basis up to sign.  Those give max|B_0| and the overflow
+# mask: a column and its negation have the same magnitude and finiteness.
+_K0_DISTINCT = _distinct_columns(_nonzero_columns(_K0_BLOCKS.reshape(7, -1))[1])[0]
+
+# The nine populations come first in the real coordinates y, and their sum
+# is the trace.
+_POPULATIONS = 9
+
+
+def _hermitian_coordinates() -> tuple[np.ndarray, np.ndarray]:
+    # Column j of T holds coefficients[:, j] at the sector positions
+    # rows[:, j]: a population |r><r| alone (its second coefficient is 0),
+    # then (|r><c| + |c><r|) / sqrt(2) and i (|r><c| - |c><r|) / sqrt(2)
+    # for each of the five upper coherences r < c.
+    row, col = np.divmod(EXCITATION_SECTORS[0], 9)
+    position = {index: j for j, index in enumerate(EXCITATION_SECTORS[0])}
+    populations = np.flatnonzero(row == col)
+    upper = np.flatnonzero(row < col)
+    lower = np.array([position[9 * c + r] for r, c in zip(row[upper], col[upper])])
+    half = math.sqrt(0.5)
+    rows = np.stack([np.concatenate([populations, upper, upper]),
+                     np.concatenate([populations, lower, lower])])
+    coefficients = np.array([[1.0] * 9 + [half] * 5 + [1j * half] * 5,
+                             [0.0] * 9 + [half] * 5 + [-1j * half] * 5])
+    return rows, coefficients
+
+
+_T_ROWS, _T_COEFFICIENTS = _hermitian_coordinates()
+
+# The unitary T (19, 19) from real coordinates y to k = 0 sector states
+# x = T y.  y holds the nine populations, then sqrt(2) Re and sqrt(2) Im of
+# the five upper coherences rho_rc, r < c, in the order of
+# operators.SECTOR_ENTRIES.  A sector state is Hermitian exactly when its y
+# is real, and a generator block B maps Hermitian states to Hermitian
+# states, so R = T^H B T is real.
+_HERMITIAN_BASIS = np.zeros((19, 19), dtype=complex)
+_HERMITIAN_BASIS[_T_ROWS[1], np.arange(19)] = _T_COEFFICIENTS[1]
+_HERMITIAN_BASIS[_T_ROWS[0], np.arange(19)] = _T_COEFFICIENTS[0]
+
+
+def _hermitian_form(blocks: np.ndarray) -> np.ndarray:
+    """T^H B T of sector blocks B (..., 19, 19), each entry summed in conjugate pairs.
+
+    T has two entries per column, conjugate where they differ.  For a block
+    with B[P a, P b] = conj(B[a, b]), P the swap of rho_rc and rho_cr, as
+    every generator block satisfies bit for bit, each entry of the result is
+    z + conj(z), so its imaginary part is exactly zero.
+    """
+    first, second = _T_ROWS
+    columns = (blocks[..., :, first] * _T_COEFFICIENTS[0]
+               + blocks[..., :, second] * _T_COEFFICIENTS[1])
+    return (_T_COEFFICIENTS[0].conj()[:, None] * columns[..., first, :]
+            + _T_COEFFICIENTS[1].conj()[:, None] * columns[..., second, :])
+
+
+# The positions of the 64 nonzero entries of the flattened real block
+# R = T^H B_0 T, the real basis (7, 64) on them, and its 17 distinct
+# columns up to sign, from which R is assembled.
+_REAL_ENTRIES, _REAL_BASIS = _nonzero_columns(_hermitian_form(_K0_BLOCKS).real.reshape(7, -1))
+_REAL_DISTINCT, _REAL_INDEX, _REAL_SIGN = _distinct_columns(_REAL_BASIS)
 
 # Bounds on sigma_2 of the k = 0 block, which must reach both
 # UNIQUE_RATE_TOL times the sum of the four rates, a scale that neither the
@@ -213,11 +291,6 @@ _K0_ENTRIES, _K0_BASIS = _k0_basis()
 # singular value, far above the rounding error of its SVD.
 UNIQUE_RATE_TOL = 1e-9
 UNIQUE_ROUNDING_TOL = 1e3 * np.finfo(float).eps
-
-# t t^T for the trace row t restricted to k = 0: the rank-one lift that
-# keeps the steady state's own direction out of the k = 0 certificate.
-_K0_TRACE = trace_row()[EXCITATION_SECTORS[0]].real
-_K0_TRACE_GRAM = np.outer(_K0_TRACE, _K0_TRACE)
 
 
 @dataclass(frozen=True)
@@ -274,9 +347,9 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
     alone; a point that is refused or fails does not affect the others.
     LAPACK fails a whole stack when one member fails (a singular matrix,
     say), so such a stack is solved again in halves until the failure is
-    pinned on its point.  A point whose k = 0 block overflows to non-finite
-    entries is refused before any LAPACK call.  An empty stack gives empty
-    arrays.  See steady_state for the method.
+    pinned on its point.  A point whose k = 0 block, complex or real,
+    overflows to non-finite entries is refused before any LAPACK call.  An
+    empty stack gives empty arrays.  See steady_state for the method.
     """
     weights = as_weights(points)
     try:
@@ -297,28 +370,30 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
         )
 
 
-def _k0_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The assembled k = 0 entries of a stack of points, from their (n, 7) weights.
+def _real_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real k = 0 block entries of a stack of points, from their (n, 7) weights.
 
-    Returns the 70 entries of _K0_BASIS, (n, 70), each combined elementwise
-    as in build_generator and so bitwise that entry of build_generator;
-    whether every entry of a point is finite; and the largest magnitude of
-    each point's k = 0 block.  omega_ref does not enter the block.
+    Returns the 64 entries of _REAL_BASIS, (n, 64), combined elementwise
+    as in build_generator (a zero may differ in its sign); whether every
+    entry of the complex k = 0 block B_0 of a point is finite; and the
+    largest magnitude of B_0.  The last two are taken from B_0's entries
+    combined as in build_generator, so they are bitwise those of its block.
+    omega_ref does not enter either block.
     """
     # Finite parameters near the float maximum overflow the block; the
     # caller refuses such points before LAPACK sees them.
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = _combine(weights, _K0_BASIS)
-    return (entries, np.all(np.isfinite(entries), axis=-1),
-            np.max(np.abs(entries), axis=-1))
+        complex_entries = _combine(weights, _K0_DISTINCT)
+        entries = _combine(weights, _REAL_DISTINCT)[:, _REAL_INDEX] * _REAL_SIGN
+    return (entries, np.all(np.isfinite(complex_entries), axis=-1),
+            np.max(np.abs(complex_entries), axis=-1))
 
 
-def _k0_block(entries: np.ndarray) -> np.ndarray:
-    """The k = 0 block (n, 19, 19) of a stack from its _k0_entries."""
-    dim = len(EXCITATION_SECTORS[0])
-    flat = np.zeros((len(entries), dim * dim), dtype=complex)
-    flat[:, _K0_ENTRIES] = entries
-    return flat.reshape(-1, dim, dim)
+def _real_block(entries: np.ndarray) -> np.ndarray:
+    """The real k = 0 block R (n, 19, 19) of a stack from its _real_entries."""
+    flat = np.zeros((len(entries), 19 * 19))
+    flat[:, _REAL_ENTRIES] = entries
+    return flat.reshape(-1, 19, 19)
 
 
 def _structurally_unique(weights: np.ndarray) -> np.ndarray:
@@ -348,17 +423,18 @@ def _conditioning_certified(block: np.ndarray, scale: np.ndarray,
                             rates: np.ndarray) -> bool:
     """Whether every point of the stack provably passes the conditioning test.
 
-    block is the k = 0 block B (n, 19, 19) of finite points, scale its
-    largest magnitude and rates the sum of each point's four rates.  The
-    test asks sigma_2(B) >= max(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL
-    * sigma_1(B)); tau is that bound with ||B||_F >= sigma_1 in its place.
-    sigma_2 >= 2 tau is proven, far beyond the SVD's own error of about
-    d^2 eps sigma_1, so a certified point passes the SVD test as well.  A
-    Cholesky factorization of G - s I that succeeds proves lambda_min(G) >
-    s up to its rounding, with G = B^H B + c^2 t t^T, t the trace row and
-    c = scale; a rank-one lift cannot raise the smallest eigenvalue past
-    the second one, so lambda_min(G) <= sigma_2^2.  The shift s = (2 tau)^2
-    + 2 (d + 2) eps tr(G) holds twice the first-order rounding bounds of the
+    block is the real k = 0 block R = T^H B_0 T (n, 19, 19) of finite
+    points, which has the singular values of B_0; scale is max|B_0| and
+    rates the sum of each point's four rates.  The test asks sigma_2(R) >=
+    max(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * sigma_1(R)); tau is
+    that bound with ||R||_F >= sigma_1 in its place.  sigma_2 >= 2 tau is
+    proven, far beyond the SVD's own error of about d^2 eps sigma_1, so a
+    certified point passes the SVD test as well.  A Cholesky factorization
+    of G - s I that succeeds proves lambda_min(G) > s up to its rounding,
+    with G = R^T R + c^2 t t^T, t the trace row [1]*9 + [0]*10 and c =
+    scale; a rank-one lift cannot raise the smallest eigenvalue past the
+    second one, so lambda_min(G) <= sigma_2^2.  The shift s = (2 tau)^2 +
+    2 (d + 2) eps tr(G) holds twice the first-order rounding bounds of the
     Gram product and of the factorization (Higham, Accuracy and Stability
     of Numerical Algorithms, 2nd ed., ch. 10).  False means unproven, not
     refused.
@@ -367,12 +443,12 @@ def _conditioning_certified(block: np.ndarray, scale: np.ndarray,
     # Overflowing Gram entries or shifts fail the factorization or make its
     # factor non-finite, which only sends the stack to the SVD.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(block.conj(), -1, -2) @ block
+        gram = np.swapaxes(block, -1, -2) @ block
         diagonal = gram.reshape(n, dim * dim)[:, ::dim + 1]
-        frobenius = np.sqrt(np.sum(diagonal.real, axis=-1))
+        frobenius = np.sqrt(np.sum(diagonal, axis=-1))
         tau = np.maximum(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * frobenius)
-        gram += (scale ** 2)[:, None, None] * _K0_TRACE_GRAM
-        trace = np.sum(diagonal.real, axis=-1)
+        gram[:, :_POPULATIONS, :_POPULATIONS] += (scale ** 2)[:, None, None]
+        trace = np.sum(diagonal, axis=-1)
         diagonal -= ((2.0 * tau) ** 2 + 2 * (dim + 2) * np.finfo(float).eps * trace)[:, None]
         try:
             factor = np.linalg.cholesky(gram)
@@ -382,8 +458,11 @@ def _conditioning_certified(block: np.ndarray, scale: np.ndarray,
 
 
 def _solve_stack(weights: np.ndarray) -> SteadyStates:
-    entries, finite, gen_scale = _k0_entries(weights)
+    entries, finite, gen_scale = _real_entries(weights)
     structural = _structurally_unique(weights)
+    # R can exceed max|B_0| by a factor of up to 2, so it may overflow where
+    # B_0 does not; such a point is refused as an overflow too.
+    finite &= np.all(np.isfinite(entries), axis=-1)
 
     errors: list[Exception | None] = [None] * len(weights)
     for i in np.flatnonzero(~finite):
@@ -394,7 +473,7 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
     for i in np.flatnonzero(finite & ~structural):
         errors[i] = _structural_refusal(weights[i])
     candidate = finite & structural
-    block = _k0_block(entries[candidate])
+    block = _real_block(entries[candidate])
     scale = gen_scale[candidate]
     rates = np.sum(weights[candidate, :4], axis=-1)
     if not _conditioning_certified(block, scale, rates):
@@ -412,19 +491,21 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
         block, scale = block[conditioned], scale[conditioned]
     unique = np.array([e is None for e in errors], dtype=bool)
 
-    # Trace preservation makes the nine population rows of the k = 0 block
-    # sum to zero, so the first, <+1,+1|rho|+1,+1>, is redundant: the trace
-    # row takes its place and the sector system becomes square.
+    # Trace preservation makes the nine population rows of R sum to zero,
+    # so the first, <+1,+1|rho|+1,+1>, is redundant: the trace row takes its
+    # place and the system becomes square.
     square = block.copy()
-    square[:, 0] = _K0_TRACE
-    rhs = np.zeros((len(square), len(_K0_TRACE), 1), dtype=complex)
+    square[:, 0, :_POPULATIONS] = 1.0
+    square[:, 0, _POPULATIONS:] = 0.0
+    rhs = np.zeros((len(square), 19, 1))
     rhs[:, 0] = 1.0
-    x = np.linalg.solve(square, rhs)[..., 0]
-    # Entry by entry as on the 9x9 matrix, so the state keeps its bits.
-    x = sector_hermitian_part(x)
-    x = x / sector_trace(x).real[:, None]
+    y = np.linalg.solve(square, rhs)[..., 0]
+    y = y / np.sum(y[:, :_POPULATIONS], axis=-1, keepdims=True)
+    # Hermitian by construction: each coherence and its adjoint are formed
+    # from the same two real coordinates.
+    x = y @ _HERMITIAN_BASIS.T
 
-    residual = np.linalg.norm((block @ x[..., None])[..., 0], axis=-1)
+    residual = np.linalg.norm((block @ y[..., None])[..., 0], axis=-1)
     tol = 1e-10 * (1.0 + scale)
     eigenvalues, eigenvectors = np.linalg.eigh(state_blocks(x, M_BLOCKS))
     invalid = sector_state_errors(x, eigenvalues)
@@ -460,17 +541,21 @@ def steady_state(
     The message names them.  It also refuses a point whose k = 0 block B_0
     has sigma_2 below max(UNIQUE_RATE_TOL * (gamma_g_a + gamma_d_a +
     gamma_g_b + gamma_d_b), UNIQUE_ROUNDING_TOL * sigma_1), printing sigma_2
-    and that bound.  A Cholesky certificate (see _conditioning_certified)
-    proves the bound for most stacks, and the SVD of B_0 decides for the
-    others.  The state is solved in the 19-dimensional k = 0 sector as one
-    square system: B_0 with its first, redundant population row replaced by
-    the trace row, right-hand side (1, 0, ..., 0); every other sector of rho
-    is zero.  The residual is checked against all 19 rows of B_0, with
+    and that bound.  All of this runs on the real block R = T^H B_0 T of
+    the Hermitian coordinates y = T^H x (see the module docstring), which
+    has the singular values of B_0.  A Cholesky certificate (see
+    _conditioning_certified) proves the bound for most stacks, and the SVD
+    of R decides for the others.  The state is solved in the
+    19-dimensional k = 0 sector as one real square system: R with its
+    first, redundant population row replaced by the trace row [1]*9 +
+    [0]*10, right-hand side (1, 0, ..., 0); y is divided by its population
+    sum and x = T y is Hermitian by construction; every other sector of
+    rho is zero.  The residual ||R y|| = ||B_0 x|| is checked against
     tolerance 1e-10 (1 + max|B_0|), and the density-matrix checks take the
     lowest eigenvalue from the 3x3 blocks of rho in M = m_A + m_B.  A point
-    whose B_0 overflows to non-finite entries is refused with ValueError.
-    This is steady_states on a stack of one point, whose 19 entries are
-    laid out as the 9x9 matrix here.
+    whose B_0 or R overflows to non-finite entries is refused with
+    ValueError.  This is steady_states on a stack of one point, whose 19
+    entries are laid out as the 9x9 matrix here.
     """
     batch = steady_states([params])
     if batch.errors[0] is not None:

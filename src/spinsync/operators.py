@@ -187,11 +187,6 @@ def sector_matrix(x: np.ndarray) -> np.ndarray:
     return vec.reshape(x.shape[:-1] + (PAIR_DIM, PAIR_DIM))
 
 
-def sector_hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(rho + rho^dag) / 2 of sector states x (..., 19), entry by entry."""
-    return 0.5 * (x + x[..., _SECTOR_ADJOINT].conj())
-
-
 def sector_trace(x: np.ndarray) -> np.ndarray:
     """Trace of each sector state x (..., 19).
 

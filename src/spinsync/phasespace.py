@@ -172,6 +172,9 @@ def p_single(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseD
 
 
 TIE_RTOL = 1e-12
+# The absolute floor of the tie band: a few ulps of the uniform background
+# 1/(2 pi), which every value carries before it is subtracted.
+TIE_ATOL = 4 * np.spacing(1.0 / (2.0 * np.pi))
 
 
 def max_s_rel_stack(dist: PhaseDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +186,8 @@ def max_s_rel_stack(dist: PhaseDistribution) -> tuple[np.ndarray, np.ndarray]:
     idx = np.argmax(values, axis=-1)
     # The grid ascends, so the first tied node has the smallest phi; a NaN
     # maximum ties with nothing and is returned as it stands.
-    floor = values[rows, idx] - TIE_RTOL * np.max(np.abs(values), axis=-1)
+    band = np.maximum(TIE_RTOL * np.max(np.abs(values), axis=-1), TIE_ATOL)
+    floor = values[rows, idx] - band
     tied = values >= floor[:, None]
     idx = np.where(tied.any(axis=-1), tied.argmax(axis=-1), idx)
     shape = dist.values.shape[:-1]
@@ -193,9 +197,11 @@ def max_s_rel_stack(dist: PhaseDistribution) -> tuple[np.ndarray, np.ndarray]:
 def max_s_rel(dist: PhaseDistribution) -> tuple[float, float]:
     """Grid maximum of a phase distribution; ties go to the smallest phi.
 
-    Values within TIE_RTOL * max|values| of the maximum count as tied, so
-    peaks that are equal in exact arithmetic, such as the mirror pair
-    phi and 2 pi - phi of a symmetric profile, do not hinge on roundoff.
+    Values within TIE_RTOL * max|values|, and at least TIE_ATOL, of the
+    maximum count as tied, so peaks that are equal in exact arithmetic,
+    such as the mirror pair phi and 2 pi - phi of a symmetric profile, do
+    not hinge on roundoff; nor does the phase of a profile that is flat in
+    exact arithmetic, which is 0.
     """
     phi, peak = max_s_rel_stack(dist)
     return float(phi), float(peak)

@@ -188,3 +188,39 @@ def kernel_dimension(weights) -> int:
     """dim ker L over Q(i): the sum of the nullities of the nine sector blocks."""
     gen = generator(weights)
     return sum(len(sector) - rank(gen, sector) for sector in SECTORS)
+
+
+def steady_state(weights) -> list[complex]:
+    """The exact steady state's 19 k = 0 entries, rounded to complex at the end.
+
+    The k = 0 block with its first population row replaced by the trace
+    row, right-hand side (1, 0, ..., 0), solved over Q in the real
+    embedding by Gauss-Jordan elimination; the entries are in ascending vec
+    order, as operators.SECTOR_ENTRIES.  The point must have a unique
+    steady state.
+    """
+    gen = generator(weights)
+    sector = SECTORS[4]
+    at = {index: j for j, index in enumerate(sector)}
+    d = len(sector)
+    # Rows of [A | b] over the unknowns (Re x, Im x): Re and Im of each row.
+    rows = [[_ZERO] * (2 * d + 1) for _ in range(2 * d)]
+    for (r, c), (re, im) in gen.items():
+        if r in at and c in at and at[r] != 0:
+            i, j = at[r], at[c]
+            rows[i][j], rows[i][d + j] = re, -im
+            rows[d + i][j], rows[d + i][d + j] = im, re
+    for j, index in enumerate(sector):
+        if index // 9 == index % 9:
+            rows[0][j] = rows[d][d + j] = Fraction(1)
+    rows[0][2 * d] = Fraction(1)
+    for col in range(2 * d):
+        pivot = next(i for i in range(col, 2 * d) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = rows[col][col]
+        rows[col] = [value / scale for value in rows[col]]
+        for i in range(2 * d):
+            factor = rows[i][col]
+            if i != col and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return [complex(float(rows[j][2 * d]), float(rows[d + j][2 * d])) for j in range(d)]

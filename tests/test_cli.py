@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -364,3 +365,31 @@ class TestRegressCommand:
         assert main(argv) == 0
         assert main(["regress", "--in", str(out), "--x", "delta", "--y", "negativity"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [",".join(["0.1"] * 2), ",".join(["0.1"] * 13)],
+                             ids=["short", "long"])
+    def test_ragged_row_is_refused(self, sweep_csv, capsys, row):
+        lines = Path(sweep_csv).read_text().splitlines()
+        lines.insert(3, row)
+        Path(sweep_csv).write_text("\n".join(lines) + "\n")
+        assert main(["regress", "--in", sweep_csv, "--x", "epsilon", "--y", "negativity"]) == 1
+        fields = len(row.split(","))
+        assert capsys.readouterr().err == (
+            f"line 4 of {sweep_csv} has {fields} fields, the header 12\n")
+
+    def test_blank_lines_are_skipped(self, sweep_csv, capsys):
+        assert main(["regress", "--in", sweep_csv, "--x", "epsilon", "--y", "negativity"]) == 0
+        want = capsys.readouterr().out
+        lines = Path(sweep_csv).read_text().splitlines()
+        Path(sweep_csv).write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+        assert main(["regress", "--in", sweep_csv, "--x", "epsilon", "--y", "negativity"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_same_fit_as_reading_every_column(self, sweep_csv, capsys):
+        with open(sweep_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        want = spinsync.linear_regression(
+            np.array([float(r["delta"]) for r in rows]),
+            np.array([float(r["mutual_info"]) for r in rows]))
+        assert main(["regress", "--in", sweep_csv, "--x", "delta", "--y", "mutual_info"]) == 0
+        assert json.loads(capsys.readouterr().out) == dataclasses.asdict(want)

@@ -21,7 +21,7 @@ from spinsync import (
     s_rel_first_order,
 )
 from spinsync.operators import joint_index, partial_trace, spin1_operators
-from spinsync.phasespace import HUSIMI_NORM
+from spinsync.phasespace import HUSIMI_NORM, TIE_ATOL, max_s_rel_stack
 
 SREL_AMP = 9.0 * np.pi / 128.0
 
@@ -318,6 +318,25 @@ class TestMaxSRel:
         assert int(np.argmax(values)) == 57
         assert phi == phis[7]
         assert value == values[7]
+
+    def test_flat_profile_with_roundoff_noise_peaks_at_zero(self):
+        # A profile flat in exact arithmetic, perturbed by up to two ulps of
+        # the background 1/(2 pi) that every value carries: its phase is
+        # 0, in every row of a stack, whatever the noise.
+        phis = 2.0 * np.pi * np.arange(64) / 64.0
+        ulp = np.spacing(1.0 / (2.0 * np.pi))
+        noise = np.random.default_rng(18).integers(-2, 3, size=(50, 64)) * ulp
+        noise[:, 0] = -2 * ulp
+        phi, value = max_s_rel_stack(PhaseDistribution(phis, noise))
+        assert np.all(phi == 0.0)
+        assert np.array_equal(value, noise[:, 0])
+        assert 2 * ulp < TIE_ATOL
+
+    def test_structure_above_the_floor_is_resolved(self):
+        # The peak stands 5e-15 above its neighbours, far above TIE_ATOL.
+        phis = 2.0 * np.pi * np.arange(64) / 64.0
+        phi, _ = max_s_rel(PhaseDistribution(phis, 1e-12 * np.cos(phis - phis[16])))
+        assert phi == phis[16]
 
     def test_empty_distribution_raises(self):
         with pytest.raises(ValueError):

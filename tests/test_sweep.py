@@ -21,7 +21,7 @@ from spinsync import (
     write_dynamics_csv,
     write_sweep_csv,
 )
-from spinsync import sweep
+from spinsync import liouvillian, sweep
 from spinsync.cli import main
 from spinsync.first_order import NO_STEADY_STATE, coherences
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER, evaluate_point
@@ -136,17 +136,20 @@ class TestChunkIsolation:
 
     def test_singular_solve_is_pinned_on_its_point(self, monkeypatch):
         # LAPACK fails the whole stack for one singular member; make the
-        # square k = 0 system of the point with delta = 0.777 singular.
+        # square k = 0 system of the point with delta = 0.777 singular.  It
+        # is recognized by the rows below the trace row, those of its real
+        # block.
         solve = np.linalg.solve
+        points = [*self.POINTS, dataclasses.replace(FIG2, delta=0.777),
+                  dataclasses.replace(FIG2, delta=0.5)]
+        entries = liouvillian._real_entries(liouvillian.as_weights(points[3:4]))[0]
+        singular = liouvillian._real_block(entries)[0, 1:]
 
         def failing_solve(a, b):
-            rotation = np.diagonal(a, axis1=-2, axis2=-1).imag
-            if np.any(np.abs(rotation + 0.777) < 1e-12):
+            if np.any(np.all(a[:, 1:] == singular, axis=(-2, -1))):
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
-        points = [*self.POINTS, dataclasses.replace(FIG2, delta=0.777),
-                  dataclasses.replace(FIG2, delta=0.5)]
         clean = sweep._run_points(points, QuadratureSpec())
         monkeypatch.setattr(np.linalg, "solve", failing_solve)
         records = sweep._run_points(points, QuadratureSpec())
@@ -174,9 +177,10 @@ class TestArnoldSweep:
             assert r.schmidt_rank == 1
 
     def test_chunk_size_does_not_change_results(self, monkeypatch, tmp_path):
-        # 45 points: several chunks of 7, one short chunk, and two chunks
-        # of the default size.
-        grid = dict(eps_range=(0.0, 0.1), delta_range=(-1.0, 1.0), steps=(5, 9))
+        # 297 points: many chunks of 7, one short chunk, and three chunks of
+        # the default size, the last of them short.
+        grid = dict(eps_range=(0.0, 0.1), delta_range=(-1.0, 1.0), steps=(9, 33))
+        assert 2 * sweep.CHUNK_SIZE < 9 * 33 < 3 * sweep.CHUNK_SIZE
         outputs = []
         for size in (1, 7, sweep.CHUNK_SIZE):
             monkeypatch.setattr(sweep, "CHUNK_SIZE", size)
