@@ -19,13 +19,12 @@ from .liouvillian import SystemParams
 from .phasespace import QuadratureSpec
 from .sweep import (
     SweepRecord,
-    arnold_sweep,
-    balanced_cut_scan,
+    _arnold_table,
+    _balanced_cut_table,
     dynamics_trace,
     evaluate_point,
     linear_regression,
     write_dynamics_csv,
-    write_sweep_csv,
 )
 
 PARAM_KEYS = ("gamma_g_a", "gamma_d_a", "gamma_g_b", "gamma_d_b",
@@ -147,24 +146,24 @@ def _cmd_steady(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params, quad = load_config(args.config)
-    records = arnold_sweep(
+    # Rows are written from the evaluated columns, with no SweepRecord
+    # objects; the file is what write_sweep_csv(arnold_sweep(...)) writes.
+    _arnold_table(
         params,
         eps_range=(args.eps_min, args.eps_max),
         delta_range=(args.delta_min, args.delta_max),
         steps=(args.eps_steps, args.delta_steps),
         quad=quad,
-    )
-    write_sweep_csv(records, args.out)
+    ).write(args.out)
     return 0
 
 
 def _cmd_scan_balanced(args) -> int:
     params, quad = load_config(args.config)
-    records = balanced_cut_scan(
+    _balanced_cut_table(
         params, ratio_range=(args.gdb_min, args.gdb_max), steps=args.steps,
         quad=quad,
-    )
-    write_sweep_csv(records, args.out)
+    ).write(args.out)
     return 0
 
 

@@ -4,11 +4,13 @@ Entropies use the natural logarithm throughout.
 
 The single-state functions accept any 9x9 state.  The sector_* functions
 measure stacks of k = 0 sector states x (n, 19), as the steady-state
-engine returns them, on the 3x3 blocks of operators.M_BLOCKS and
-operators.PARTIAL_TRANSPOSE_BLOCKS, with no 9x9 eigensolver:
-- the M blocks' spectrum is the state's, so one stacked eigh of them gives
-  S(AB) and the dominant eigenvector, which lies in one block;
-- the partial-transpose blocks' spectrum gives the negativity;
+engine returns them, on the blocks of operators.M_BLOCKS and
+operators.PARTIAL_TRANSPOSE_BLOCKS, of sizes 1, 2, 3, 2, 1, with no 9x9
+eigensolver; only the 3x3 blocks go to LAPACK (see
+operators.block_eigenvalues):
+- the nine eigenvalues of the M blocks are the state's spectrum, which
+  gives S(AB), and the dominant eigenvector lies in one block;
+- the nine eigenvalues of the partial-transpose blocks give the negativity;
 - rho_A and rho_B are diagonal, so their entropies come from the nine
   populations, and the purity is sum |x|^2.
 """
@@ -20,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    BLOCK_TOPS,
     PARTIAL_TRANSPOSE_BLOCKS,
     InvalidStateError,
+    block_eigenvalues,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
     sector_populations,
-    state_blocks,
 )
 
 EIGENVALUE_FLOOR = -1e-8
@@ -111,58 +114,61 @@ def schmidt_analysis(
     )
 
 
-def _block_sum(values: np.ndarray) -> np.ndarray:
-    # Sum of each state's (5, 3) block values, as one contiguous row: numpy
-    # adds a row in an order that does not depend on the number of rows,
-    # which a sum over two axes does not promise.
-    return np.sum(values.reshape(len(values), 15), axis=-1)
-
-
 def sector_negativity(x: np.ndarray) -> np.ndarray:
     """Negativity of each sector state x (n, 19), from the partial-transpose blocks."""
-    eig = np.linalg.eigvalsh(state_blocks(x, PARTIAL_TRANSPOSE_BLOCKS))
-    value = 0.5 * (_block_sum(np.abs(eig)) - 1.0)
+    eigenvalues = block_eigenvalues(x, PARTIAL_TRANSPOSE_BLOCKS)
+    value = 0.5 * (np.abs(eigenvalues).sum(axis=-1) - 1.0)
     return np.where(value > 0.0, value, 0.0)
 
 
-def sector_mutual_information(x: np.ndarray, block_eigenvalues: np.ndarray) -> np.ndarray:
+def sector_mutual_information(x: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """I(A:B) of each sector state x (n, 19), clipped at 0.
 
-    block_eigenvalues (n, 5, 3) are the eigenvalues of the state's M
-    blocks; their zero padding adds nothing to S(AB).
+    eigenvalues (n, 9) are the state's spectrum, from its M blocks (see
+    operators.block_eigenvalues).
     """
     populations = sector_populations(x)
     local = _entropy_terms(np.concatenate(
         [populations.sum(axis=-1), populations.sum(axis=-2)], axis=-1))
-    total = _entropy_terms(block_eigenvalues)
-    value = np.sum(local, axis=-1) - _block_sum(total)
+    value = local.sum(axis=-1) - _entropy_terms(eigenvalues).sum(axis=-1)
     return np.where(value > 0.0, value, 0.0)
 
 
 def sector_purity(x: np.ndarray) -> np.ndarray:
     """Tr rho^2 = sum |x|^2 of each sector state x (n, 19)."""
-    return np.sum(x.real**2 + x.imag**2, axis=-1)
+    return (x.real**2 + x.imag**2).sum(axis=-1)
 
 
 def sector_schmidt(
-    block_eigenvalues: np.ndarray,
-    block_eigenvectors: np.ndarray,
+    eigenvalues: np.ndarray,
+    pair_ratios: np.ndarray,
+    center_vectors: np.ndarray,
     rank_threshold: float = DEFAULT_RANK_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schmidt coefficients, rank and dominant weight of sector states.
 
-    From the eigh of each state's M blocks, eigenvalues (n, 5, 3) and
-    eigenvectors (n, 5, 3, 3), returns coefficients (n, 3), descending,
-    ranks (n) and the leading eigenvalues (n); see schmidt_analysis.  The
-    dominant eigenvector lies in one M block, so its amplitude matrix holds
-    at most one entry per row and per column, and its singular values are
-    the absolute values of its components.  An eigenvalue tied exactly
-    across blocks goes to the first of them in the order M = 2, 1, 0, -1, -2.
+    From operators.m_block_eigensystem of each state, its spectrum (n, 9),
+    the Schmidt ratios (n, 2) of its 2x2 blocks and the eigenvectors (n, 3,
+    3) of its 3x3 block, returns coefficients (n, 3), descending, ranks (n)
+    and the leading eigenvalues (n); see schmidt_analysis.  The dominant
+    eigenvector lies in one M block, so its amplitude matrix holds at most
+    one entry per row and per column, and its singular values are the
+    absolute values of its components: (1, 0, 0) for a 1x1 block, (1, t,
+    0) / sqrt(1 + t^2) for a 2x2 block of ratio t, and the sorted moduli of
+    the eigenvector for the 3x3 block.  An eigenvalue tied exactly across
+    blocks goes to the first of them in the order M = 2, 1, 0, -1, -2.
     """
     _check_rank_threshold(rank_threshold)
-    tops = block_eigenvalues[..., -1]
-    block = np.argmax(tops, axis=-1)
+    tops = eigenvalues[:, BLOCK_TOPS]
+    block = tops.argmax(axis=-1)
     rows = np.arange(len(block))
-    coeffs = -np.sort(-np.abs(block_eigenvectors[rows, block, :, -1]), axis=-1)
-    ranks = np.sum(coeffs > rank_threshold * coeffs[:, :1], axis=-1)
+    # Each block's candidate, in the order of BLOCK_TOPS.
+    norm = 1.0 / np.sqrt(1.0 + pair_ratios**2)
+    candidates = np.zeros((len(block), 5, 3))
+    candidates[:, ::4, 0] = 1.0
+    candidates[:, 1::2, 0] = norm
+    candidates[:, 1::2, 1] = pair_ratios * norm
+    candidates[:, 2] = np.sort(np.abs(center_vectors[:, :, -1]), axis=-1)[:, ::-1]
+    coeffs = candidates[rows, block]
+    ranks = (coeffs > rank_threshold * coeffs[:, :1]).sum(axis=-1)
     return coeffs, ranks, tops[rows, block]

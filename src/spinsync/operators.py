@@ -9,7 +9,9 @@ A state that commutes with Sz_A + Sz_B, as every steady state and every
 state reached from |0,0> does, is held by its 19 k = 0 entries (see
 SECTOR_ENTRIES).  Such a state and its partial transpose are then
 block-diagonal, with blocks of sizes 1, 2, 3, 2, 1 made of those entries
-(M_BLOCKS, PARTIAL_TRANSPOSE_BLOCKS).
+(M_BLOCKS, PARTIAL_TRANSPOSE_BLOCKS).  Their spectra need LAPACK for the
+3x3 block only: the 1x1 blocks are populations, and the 2x2 blocks have
+closed forms (block_eigenvalues, m_block_eigensystem).
 """
 
 from __future__ import annotations
@@ -149,17 +151,19 @@ _SECTOR_DIAGONAL = _POSITION[(PAIR_DIM + 1) * np.arange(PAIR_DIM)]
 _SECTOR_ADJOINT = _POSITION[PAIR_DIM * (SECTOR_ENTRIES % PAIR_DIM) + SECTOR_ENTRIES // PAIR_DIM]
 
 
+# A block table lists the 17 positions in a sector state x of the blocks
+# of the joint indices that share a label: entries 0-1 are the 1x1 blocks
+# of labels 2 and -2; entries 2-7 are a, a', d, d', c, c' of the 2x2
+# blocks [[a, c], [c*, d]] of labels 1 and -1; entries 8-16 are the 3x3
+# block of label 0, row-major.  One fancy index gathers a whole table.
 def _block_table(labels: np.ndarray, vec_index) -> np.ndarray:
-    # (5, 3, 3) positions in x of the blocks of the joint indices sharing a
-    # label, labels 2, 1, 0, -1, -2 in turn; blocks of size 1 and 2 are
-    # padded with position 19, which state_blocks fills with zero.
-    table = np.full((5, SINGLE_DIM, SINGLE_DIM), len(SECTOR_ENTRIES))
-    for block, label in enumerate(range(2, -3, -1)):
-        members = np.flatnonzero(labels == label)
-        for i, row in enumerate(members):
-            for j, col in enumerate(members):
-                table[block, i, j] = _POSITION[vec_index(row, col)]
-    return table
+    members = {label: np.flatnonzero(labels == label) for label in (2, 1, 0, -1, -2)}
+    pairs = [members[1], members[-1]]
+    entries = ([(members[2][0],) * 2, (members[-2][0],) * 2]
+               + [(p[0], p[0]) for p in pairs] + [(p[1], p[1]) for p in pairs]
+               + [(p[0], p[1]) for p in pairs]
+               + [(row, col) for row in members[0] for col in members[0]])
+    return np.array([_POSITION[vec_index(row, col)] for row, col in entries])
 
 
 M_BLOCKS = _block_table(_M_TOTAL, lambda row, col: PAIR_DIM * row + col)
@@ -173,11 +177,60 @@ PARTIAL_TRANSPOSE_BLOCKS = _block_table(
 )
 """The blocks of rho^{T_A}: it is block-diagonal in m_A - m_B, sizes 1, 2, 3, 2, 1."""
 
+BLOCK_TOPS = np.array([0, 4, 8, 5, 1])
+"""Positions in a block spectrum of each block's largest eigenvalue, labels 2, 1, 0, -1, -2."""
 
-def state_blocks(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The (..., 5, 3, 3) blocks of sector states x (..., 19) laid out by table."""
-    padded = np.concatenate([x, np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)], axis=-1)
-    return padded[..., table]
+
+def _small_blocks(entries: np.ndarray) -> tuple[list[np.ndarray], ...]:
+    # The eigenvalues of the 1x1 and of the 2x2 blocks of a gathered table,
+    # as the first three parts of its spectrum, with h = (a - d) / 2, |c|
+    # and r = hypot(h, |c|) of the 2x2 blocks.
+    diagonal = entries[:, :6].real
+    c = entries[:, 6:8]
+    modulus = np.hypot(c.real, c.imag)
+    half_sum = 0.5 * (diagonal[:, 2:4] + diagonal[:, 4:6])
+    half_gap = 0.5 * (diagonal[:, 2:4] - diagonal[:, 4:6])
+    radius = np.hypot(half_gap, modulus)
+    return [diagonal[:, :2], half_sum - radius, half_sum + radius], half_gap, modulus, radius
+
+
+def block_eigenvalues(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The nine eigenvalues (n, 9) of the blocks of sector states x (n, 19).
+
+    table is M_BLOCKS or PARTIAL_TRANSPOSE_BLOCKS; its blocks must be
+    Hermitian, and their diagonals are read as real.  The spectrum holds the
+    two 1x1 blocks, then the lower and the upper eigenvalues m -+ r of the
+    two 2x2 blocks [[a, c], [c*, d]], m = (a + d) / 2 and r = hypot((a -
+    d) / 2, |c|), then the 3x3 block's eigenvalues, ascending; BLOCK_TOPS
+    picks the largest of each block.  Only the 3x3 blocks go to LAPACK, in
+    one stacked eigvalsh.  A state's values do not depend on the stack.
+    """
+    entries = x[:, table]
+    small = _small_blocks(entries)[0]
+    center = np.linalg.eigvalsh(entries[:, 8:].reshape(-1, SINGLE_DIM, SINGLE_DIM))
+    return np.concatenate(small + [center], axis=-1)
+
+
+# The ratio's denominator is raised to the smallest subnormal only where it
+# is zero, so that a degenerate 2x2 block gets the ratio 0.
+_SMALLEST = np.nextafter(0.0, 1.0)
+
+
+def m_block_eigensystem(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum, 2x2 Schmidt ratios and 3x3 eigenvectors of sector states x.
+
+    The spectrum (n, 9) is block_eigenvalues(x, M_BLOCKS), from one stacked
+    eigh of the M = 0 blocks, whose eigenvectors (n, 3, 3) come last.  The
+    ratios (n, 2), for the blocks M = 1 and M = -1, are |c| / (r + |h|),
+    h = (a - d) / 2: the smaller over the larger modulus of the two
+    components of the block's top eigenvector, free of cancellation.  A
+    degenerate block, r = 0, gets 0.
+    """
+    entries = x[:, M_BLOCKS]
+    small, half_gap, modulus, radius = _small_blocks(entries)
+    center, vectors = np.linalg.eigh(entries[:, 8:].reshape(-1, SINGLE_DIM, SINGLE_DIM))
+    ratios = modulus / np.maximum(radius + np.abs(half_gap), _SMALLEST)
+    return np.concatenate(small + [center], axis=-1), ratios, vectors
 
 
 def sector_matrix(x: np.ndarray) -> np.ndarray:
@@ -218,20 +271,23 @@ def _violation(
 
 
 def sector_state_errors(
-    x: np.ndarray, block_eigenvalues: np.ndarray
-) -> list[InvalidStateError | None]:
-    """The first violated density-matrix invariant of each sector state.
+    x: np.ndarray, eigenvalues: np.ndarray
+) -> dict[int, InvalidStateError]:
+    """The first violated density-matrix invariant of each failing sector state.
 
-    x is (m, 19) and block_eigenvalues (m, 5, 3) the eigenvalues of its
-    M_BLOCKS, whose padding adds zeros; a state whose spectrum is positive
-    thus reports 0 as its lowest eigenvalue, which passes as its own does.
-    Entry i is None when x[i] passes validate_density_matrix at its default
-    tolerances, else the InvalidStateError it raises for that matrix.
+    x is (n, 19) and eigenvalues (n, 9) its block spectrum (see
+    block_eigenvalues).  The invariants are checked on the whole stack at
+    once; the result maps the index of each state that fails
+    validate_density_matrix at its default tolerances to the
+    InvalidStateError it raises for that matrix.
     """
-    dev = np.max(np.abs(x - x[:, _SECTOR_ADJOINT].conj()), axis=-1)
-    lowest = np.min(block_eigenvalues, axis=(-2, -1))
-    return [_violation(d, tr, lo, 1e-10, 1e-10, 1e-10)
-            for d, tr, lo in zip(dev, sector_trace(x), lowest)]
+    tol = 1e-10
+    dev = np.abs(x - x[:, _SECTOR_ADJOINT].conj()).max(axis=-1)
+    trace = sector_trace(x)
+    lowest = eigenvalues.min(axis=-1)
+    failing = (dev > tol) | (np.abs(trace - 1.0) > tol) | (lowest < -tol)
+    return {i: _violation(dev[i], trace[i], lowest[i], tol, tol, tol)
+            for i in failing.nonzero()[0].tolist()}
 
 
 def validate_density_matrix(

@@ -23,15 +23,21 @@ from .operators import PAIR_DIM, SECTOR_ENTRIES, SINGLE_DIM
 
 HUSIMI_NORM = 3.0 / (4.0 * np.pi)
 
+# The largest output phase grid.  Every profile is evaluated on the whole
+# grid, so memory grows with it: a sweep chunk of 128 points peaks at about
+# 3 KiB per node, some 190 MB at this cap.
+MAX_PHI_OUT = 2**16
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Output grid of the phase distributions.
 
-    n_phi_out is the size of the uniform output phase grid.  n_theta and
-    n_phi are node counts for a numerical quadrature of the integrals.
-    The integrals are exact, so these two change no output; they are kept
-    and validated so that existing configs load and are checked as before.
+    n_phi_out is the size of the uniform output phase grid, from 1 to
+    MAX_PHI_OUT.  n_theta and n_phi are node counts for a numerical
+    quadrature of the integrals.  The integrals are exact, so these two
+    change no output; they are kept and validated so that existing configs
+    load and are checked as before.
     """
 
     n_theta: int = 32
@@ -45,6 +51,8 @@ class QuadratureSpec:
             raise ValueError("n_phi must be >= 8 for exactness")
         if self.n_phi_out < 1:
             raise ValueError("n_phi_out must be >= 1")
+        if self.n_phi_out > MAX_PHI_OUT:
+            raise ValueError(f"n_phi_out must be <= {MAX_PHI_OUT}, got {self.n_phi_out}")
 
 
 @dataclass(frozen=True)

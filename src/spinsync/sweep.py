@@ -5,13 +5,16 @@ weights (see liouvillian.as_weights) and validated once, then solved and
 measured in chunks of CHUNK_SIZE points: one stacked solve, one stacked
 first-order oracle and one stacked call per measure for each chunk.  Each
 solved state is carried as its 19 k = 0 entries, and the measures run on
-its 3x3 blocks (see correlations); a 9x9 matrix is built only for the
-state evaluate_point returns.  Every point gets the same bits whatever
-chunk it lands in, and results are always emitted in deterministic grid
-order (epsilon-major for the tongue sweep), so CSV bodies are
-byte-identical regardless of chunk size.  A failing point is recorded in
-its row's status field and never aborts a sweep or affects the other
-points.
+its blocks (see correlations); a 9x9 matrix is built only for the state
+evaluate_point returns.  A chunk's results are kept as columns, from
+which the CLI formats CSV rows; SweepRecord objects are built only where
+arnold_sweep, balanced_cut_scan and evaluate_point return them, and
+write_sweep_csv formats them with the same row template.  Every point gets
+the same bits whatever chunk it lands in, and results are always emitted
+in deterministic grid order (epsilon-major for the tongue sweep), so CSV
+bodies are byte-identical regardless of chunk size.  A failing point is
+recorded in its row's status field and never aborts a sweep or affects
+the other points.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,55 +103,74 @@ CHUNK_SIZE = 128
 
 _FIELDS = [f.name for f in fields(SystemParams)]
 
-# SweepRecord fields measured on a solved state, nan when it is refused.
-_MEASURED = ("max_s_rel", "phi_at_max", "negativity", "mutual_info", "purity",
-             "residual")
+# The SweepRecord fields, which are also the sweep CSV columns, in order.
+_RECORD_FIELDS = [f.name for f in fields(SweepRecord)]
+_RANK = _RECORD_FIELDS.index("schmidt_rank")
+_RESIDUAL = _RECORD_FIELDS.index("residual")
+
+
+class _SweepTable(NamedTuple):
+    """Evaluated points as columns.
+
+    values (n, 11) holds every SweepRecord field but status, in field
+    order, the Schmidt rank as a float; statuses holds the status texts.
+    """
+
+    values: np.ndarray
+    statuses: list[str]
+
+    def records(self) -> list[SweepRecord]:
+        return [SweepRecord(*row[:_RANK], int(row[_RANK]), *row[_RANK + 1:], status)
+                for row, status in zip(self.values.tolist(), self.statuses)]
+
+    def write(self, path) -> None:
+        """Write the table as write_sweep_csv writes its records."""
+        _write_sweep_rows(self.values.tolist(), self.statuses, path)
 
 
 def _evaluate_chunk(
     points: Sequence[SystemParams] | np.ndarray, quad: QuadratureSpec
-) -> tuple[list[SweepRecord], SteadyStates]:
+) -> tuple[_SweepTable, SteadyStates]:
     weights = as_weights(points)
     oracle, defined = peak_and_negativity_first_order(weights)
     batch = steady_states(weights)
-    solved = np.array([e is None for e in batch.errors], dtype=bool)
+    solved = batch.solved
     # Measures are taken on the solved states only, which passed the
     # density-matrix checks.
     x = batch.sectors[solved]
-    eigenvalues = batch.block_eigenvalues[solved]
+    eigenvalues = batch.eigenvalues[solved]
     phi_at_max, peak = max_s_rel_stack(sector_s_rel(x, quad))
-    columns = np.full((len(_MEASURED), len(weights)), math.nan)
-    columns[:, solved] = (
+    ranks = sector_schmidt(eigenvalues, batch.pair_ratios[solved],
+                           batch.center_vectors[solved])[1]
+    # One row per SweepRecord field but status.  The measures of a refused
+    # point are nan and its Schmidt rank is 0.
+    columns = np.full((_RESIDUAL + 1, len(weights)), math.nan)
+    columns[:2] = weights[:, 4:6].T
+    columns[_RANK] = 0.0
+    columns[2:_RANK + 1, solved] = (
         peak, phi_at_max, sector_negativity(x),
-        sector_mutual_information(x, eigenvalues), sector_purity(x),
-        batch.residuals[solved],
+        sector_mutual_information(x, eigenvalues), sector_purity(x), ranks,
     )
-    ranks = np.zeros(len(weights), dtype=int)
-    ranks[solved] = sector_schmidt(eigenvalues, batch.block_eigenvectors[solved])[1]
-
-    records = []
-    for (epsilon, delta), values, rank, fo, ok, error in zip(
-            weights[:, 4:6].tolist(), columns.T.tolist(), ranks.tolist(),
-            oracle.tolist(), defined, batch.errors):
-        messages = [] if ok else [f"oracle: {NO_STEADY_STATE}"]
-        if error is not None:
-            messages.append(f"solve: {error}")
-        records.append(SweepRecord(
-            epsilon=epsilon, delta=delta, schmidt_rank=rank, s_rel_fo=fo[0],
-            negativity_fo=fo[1], status="; ".join(messages) or "ok",
-            **dict(zip(_MEASURED, values)),
-        ))
-    return records, batch
+    columns[_RANK + 1:_RESIDUAL] = oracle.T
+    columns[_RESIDUAL, solved] = batch.residuals[solved]
+    statuses = ["ok"] * len(weights)
+    for i in (~(defined & solved)).nonzero()[0].tolist():
+        messages = [] if defined[i] else [f"oracle: {NO_STEADY_STATE}"]
+        if batch.errors[i] is not None:
+            messages.append(f"solve: {batch.errors[i]}")
+        statuses[i] = "; ".join(messages)
+    return _SweepTable(columns.T, statuses), batch
 
 
 def evaluate_point(
     params: SystemParams, quad: QuadratureSpec = QuadratureSpec()
 ) -> tuple[SweepRecord, np.ndarray | None]:
     """Solve one point and fill a record; also return the state if solvable."""
-    records, batch = _evaluate_chunk([params], quad)
+    table, batch = _evaluate_chunk([params], quad)
+    record = table.records()[0]
     if batch.errors[0] is not None:
-        return records[0], None
-    return records[0], batch.states[0]
+        return record, None
+    return record, batch.states[0]
 
 
 def run_steady_point(
@@ -175,6 +199,22 @@ def _grid(base: SystemParams, **axes: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _arnold_table(
+    base: SystemParams,
+    eps_range: tuple[float, float] = (0.0, 0.1),
+    delta_range: tuple[float, float] = (-1.0, 1.0),
+    steps: tuple[int, int] = (101, 101),
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> _SweepTable:
+    _validate_range("epsilon", *eps_range)
+    _validate_range("delta", *delta_range)
+    if steps[0] < 2 or steps[1] < 2:
+        raise ValueError("need at least 2 steps per axis")
+    weights = _grid(base, epsilon=np.linspace(eps_range[0], eps_range[1], steps[0]),
+                    delta=np.linspace(delta_range[0], delta_range[1], steps[1]))
+    return _run_points(weights, quad)
+
+
 def arnold_sweep(
     base: SystemParams,
     eps_range: tuple[float, float] = (0.0, 0.1),
@@ -183,12 +223,24 @@ def arnold_sweep(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> list[SweepRecord]:
     """Evaluate the coupling-detuning grid in epsilon-major order."""
-    _validate_range("epsilon", *eps_range)
-    _validate_range("delta", *delta_range)
-    if steps[0] < 2 or steps[1] < 2:
-        raise ValueError("need at least 2 steps per axis")
-    weights = _grid(base, epsilon=np.linspace(eps_range[0], eps_range[1], steps[0]),
-                    delta=np.linspace(delta_range[0], delta_range[1], steps[1]))
+    return _arnold_table(base, eps_range, delta_range, steps, quad).records()
+
+
+def _balanced_cut_table(
+    base: SystemParams,
+    ratio_range: tuple[float, float] = (1.0, 199.0),
+    steps: int = 101,
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> _SweepTable:
+    if not (base.gamma_g_a == base.gamma_d_a == base.gamma_g_b):
+        raise ValueError("cut requires gamma_g_a = gamma_d_a = gamma_g_b")
+    if base.delta != 0.0:
+        raise ValueError("cut is defined on resonance (delta = 0)")
+    if not (0.0 < ratio_range[0] <= ratio_range[1] and np.isfinite(ratio_range[1])):
+        raise ValueError(f"invalid ratio range {ratio_range}")
+    if steps < 2:
+        raise ValueError("need at least 2 steps")
+    weights = _grid(base, gamma_d_b=np.geomspace(ratio_range[0], ratio_range[1], steps))
     return _run_points(weights, quad)
 
 
@@ -204,25 +256,19 @@ def balanced_cut_scan(
     configuration) with no detuning; gamma_d_b runs log-spaced over the
     ratio range.
     """
-    if not (base.gamma_g_a == base.gamma_d_a == base.gamma_g_b):
-        raise ValueError("cut requires gamma_g_a = gamma_d_a = gamma_g_b")
-    if base.delta != 0.0:
-        raise ValueError("cut is defined on resonance (delta = 0)")
-    if not (0.0 < ratio_range[0] <= ratio_range[1] and np.isfinite(ratio_range[1])):
-        raise ValueError(f"invalid ratio range {ratio_range}")
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
-    weights = _grid(base, gamma_d_b=np.geomspace(ratio_range[0], ratio_range[1], steps))
-    return _run_points(weights, quad)
+    return _balanced_cut_table(base, ratio_range, steps, quad).records()
 
 
 def _run_points(
     points: Sequence[SystemParams] | np.ndarray, quad: QuadratureSpec
-) -> list[SweepRecord]:
-    records = []
-    for start in range(0, len(points), CHUNK_SIZE):
-        records += _evaluate_chunk(points[start:start + CHUNK_SIZE], quad)[0]
-    return records
+) -> _SweepTable:
+    # One table per chunk, joined; no points make one empty chunk.
+    chunks = [_evaluate_chunk(points[start:start + CHUNK_SIZE], quad)[0]
+              for start in range(0, max(len(points), 1), CHUNK_SIZE)]
+    if len(chunks) == 1:
+        return chunks[0]
+    return _SweepTable(np.concatenate([c.values for c in chunks]),
+                       [status for c in chunks for status in c.statuses])
 
 
 def dynamics_trace(
@@ -296,35 +342,39 @@ def linear_regression(xs, ys) -> RegressionResult:
     )
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % value
+# The row templates: 12 significant digits for every float.
+_SWEEP_ROW = ",".join(["%.12g"] * _RANK + ["%d"] + ["%.12g"] * 3 + ["%s"])
+_DYNAMICS_ROW = ",".join(["%.12g"] * 5)
 
 
 def _sanitize(status: str) -> str:
     return status.replace(",", ";").replace("\n", " ")
 
 
-def write_sweep_csv(records: list[SweepRecord], path) -> None:
-    """Write sweep records with the fixed column layout, 12 significant digits."""
-    lines = [SWEEP_CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            _fmt(r.epsilon), _fmt(r.delta), _fmt(r.max_s_rel), _fmt(r.phi_at_max),
-            _fmt(r.negativity), _fmt(r.mutual_info), _fmt(r.purity),
-            str(r.schmidt_rank), _fmt(r.s_rel_fo), _fmt(r.negativity_fo),
-            _fmt(r.residual), _sanitize(r.status),
-        ]))
+def _write_lines(lines: list[str], path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_sweep_rows(values: list[Sequence], statuses: list[str], path) -> None:
+    # values holds each row's SweepRecord fields but status, in order.  The
+    # whole body is one format of the row template repeated.
+    items = []
+    for row, status in zip(values, statuses):
+        items += row
+        items.append(_sanitize(status))
+    body = "\n".join([_SWEEP_ROW] * len(statuses)) % tuple(items)
+    _write_lines([SWEEP_CSV_HEADER, body] if statuses else [SWEEP_CSV_HEADER], path)
+
+
+def write_sweep_csv(records: list[SweepRecord], path) -> None:
+    """Write sweep records with the fixed column layout, 12 significant digits."""
+    numbers = attrgetter(*_RECORD_FIELDS[:-1])
+    _write_sweep_rows([numbers(r) for r in records], [r.status for r in records], path)
 
 
 def write_dynamics_csv(rows: list[DynamicsRow], path) -> None:
     """Write a dynamics trace with the fixed column layout."""
-    lines = [DYNAMICS_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.t), _fmt(r.s_rel_peak), _fmt(r.s_rel_peak_oracle),
-            _fmt(r.negativity), _fmt(r.trace_error),
-        ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines([DYNAMICS_CSV_HEADER] + [
+        _DYNAMICS_ROW % (r.t, r.s_rel_peak, r.s_rel_peak_oracle, r.negativity, r.trace_error)
+        for r in rows], path)

@@ -142,6 +142,19 @@ class TestConfigHandling:
         assert main(["steady", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: config key n_")
 
+    @pytest.mark.parametrize("text, got", [('{"n_phi_out": 1e15}', 10**15),
+                                           ('{"n_phi_out": 65537}', 65537)])
+    def test_oversized_output_grid_is_rejected(self, tmp_path, capsys, text, got):
+        # Without the cap, 1e15 nodes die allocating the profile.
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["steady", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: n_phi_out must be <= 65536, got {got}\n"
+
+    def test_largest_output_grid_is_accepted(self, tmp_path):
+        cfg = write_json(tmp_path, dict(BALANCED_CONFIG, n_phi_out=65536))
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0
+
     def test_integral_float_node_count_is_accepted(self, tmp_path):
         cfg = write_json(tmp_path, dict(BALANCED_CONFIG, n_theta=32.0, n_phi_out=64.0))
         assert main(["steady", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0

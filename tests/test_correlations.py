@@ -34,11 +34,11 @@ from spinsync.correlations import (
 )
 from spinsync.liouvillian import steady_states
 from spinsync.operators import (
-    M_BLOCKS,
+    BLOCK_TOPS,
     SECTOR_ENTRIES,
     InvalidStateError,
     joint_index,
-    state_blocks,
+    m_block_eigensystem,
 )
 from spinsync.phasespace import sector_s_rel
 
@@ -229,8 +229,8 @@ def sector_entries(states: np.ndarray) -> np.ndarray:
     return states.reshape(len(states), 81)[:, SECTOR_ENTRIES]
 
 
-def block_spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(state_blocks(x, M_BLOCKS))
+def block_spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return m_block_eigensystem(x)
 
 
 def assert_block_forms_match_single_state_calls(states, x, spectra):
@@ -242,9 +242,8 @@ def assert_block_forms_match_single_state_calls(states, x, spectra):
     two largest eigenvalues, so they are compared where that gap is at
     least 1e-3.  Ranks must be equal.
     """
-    values, vectors = spectra
-    coeffs, ranks, weights = sector_schmidt(values, vectors)
-    stacked = [sector_negativity(x), sector_mutual_information(x, values),
+    coeffs, ranks, weights = sector_schmidt(*spectra)
+    stacked = [sector_negativity(x), sector_mutual_information(x, spectra[0]),
                sector_purity(x), weights]
     singles = [negativity, mutual_information, purity,
                lambda rho: schmidt_analysis(rho).dominant_weight]
@@ -283,7 +282,8 @@ def test_block_forms_on_sweep_states():
     batch = steady_states(points)
     assert batch.errors == (None,) * len(points)
     assert_block_forms_match_single_state_calls(
-        batch.states, batch.sectors, (batch.block_eigenvalues, batch.block_eigenvectors))
+        batch.states, batch.sectors,
+        (batch.eigenvalues, batch.pair_ratios, batch.center_vectors))
 
 
 class TestSectorSchmidtTies:
@@ -295,39 +295,43 @@ class TestSectorSchmidtTies:
 
     @staticmethod
     def spectra(ties):
-        # One state per (first, second, entangled_first): blocks first <
-        # second share the top eigenvalue 0.5.  One of them has a product
-        # vector, the other a vector with Schmidt coefficients (0.8, 0.6,
-        # 0), the entangled one first when entangled_first.  The other
-        # blocks hold eigenvalues below 0.5.
-        values = np.tile([0.0, 0.1, 0.2], (len(ties), 5, 1))
-        vectors = np.tile(np.eye(3, dtype=complex), (len(ties), 5, 1, 1))
-        for i, (first, second, entangled_first) in enumerate(ties):
-            values[i, [first, second], -1] = 0.5
-            vectors[i, [first, second], :, -1] = (
-                [[0.6, 0.8j, 0.0], [1.0, 0.0, 0.0]] if entangled_first
-                else [[1.0, 0.0, 0.0], [0.0, -0.6, 0.8]])
-        return values, vectors
+        # One state per (first, second, entangled): blocks first < second,
+        # counted in the order M = 2, 1, 0, -1, -2, share the top
+        # eigenvalue 0.5.  The top eigenvector of block entangled (1, 2 or
+        # 3; the 1x1 blocks 0 and 4 hold product vectors only) has Schmidt
+        # coefficients (0.8, 0.6, 0), those of the other blocks are
+        # products.  The other eigenvalues are below 0.5.
+        values = np.tile(np.linspace(0.0, 0.2, 9), (len(ties), 1))
+        ratios = np.zeros((len(ties), 2))
+        vectors = np.tile(np.eye(3, dtype=complex), (len(ties), 1, 1))
+        for i, (first, second, entangled) in enumerate(ties):
+            values[i, BLOCK_TOPS[[first, second]]] = 0.5
+            if entangled == 2:
+                vectors[i, :, -1] = [0.6, 0.8j, 0.0]
+            else:
+                ratios[i, {1: 0, 3: 1}[entangled]] = 0.75
+        return values, ratios, vectors
 
     def test_first_block_in_fixed_order_wins(self):
         # Blocks are ordered M = 2, 1, 0, -1, -2; the earlier tied block
         # gives the Schmidt vector, wherever the state sits in the stack.
-        ties = [(1, 2, False), (0, 4, True), (2, 3, True), (3, 4, False)]
+        ties = [(1, 2, 1), (0, 2, 2), (2, 3, 2), (3, 4, 3), (1, 3, 3), (1, 3, 1)]
         coeffs, ranks, weights = sector_schmidt(*self.spectra(ties))
-        assert ranks.tolist() == [1, 2, 2, 1]
-        assert_allclose(coeffs, [[1.0, 0.0, 0.0], [0.8, 0.6, 0.0],
-                                 [0.8, 0.6, 0.0], [1.0, 0.0, 0.0]], atol=1e-15)
-        assert weights.tolist() == [0.5] * 4
-        assert sector_schmidt(*self.spectra(ties[::-1]))[1].tolist() == [1, 2, 2, 1]
+        assert ranks.tolist() == [2, 1, 2, 2, 1, 2]
+        entangled, product = [0.8, 0.6, 0.0], [1.0, 0.0, 0.0]
+        assert_allclose(coeffs, [entangled, product, entangled, entangled, product,
+                                 entangled], rtol=0.0, atol=1e-15)
+        assert weights.tolist() == [0.5] * 6
+        assert sector_schmidt(*self.spectra(ties[::-1]))[1].tolist() == [2, 1, 2, 2, 1, 2][::-1]
 
     def test_tie_in_a_state(self):
         # |+1,+1> and |0,0> with equal weights: diagonal blocks, whose
         # eigenvalues are exact, tie at 0.5.
         rho = self.mixture((0.5, pure_state((1.0, joint_index(1, 1)))),
                            (0.5, pure_state((1.0, joint_index(0, 0)))))
-        values, vectors = block_spectra(sector_entries(rho[None]))
-        assert values[0, 0, -1] == values[0, 2, -1] == 0.5
-        coeffs, ranks, weights = sector_schmidt(values, vectors)
+        spectra = block_spectra(sector_entries(rho[None]))
+        assert spectra[0][0, BLOCK_TOPS[0]] == spectra[0][0, BLOCK_TOPS[2]] == 0.5
+        coeffs, ranks, weights = sector_schmidt(*spectra)
         assert ranks.tolist() == [1] and weights.tolist() == [0.5]
 
     @pytest.mark.parametrize("split", [1e-3, -1e-3])
@@ -342,3 +346,79 @@ class TestSectorSchmidtTies:
         assert ranks[0] == analysis.rank == (1 if split > 0 else 2)
         assert_allclose(coeffs[0], analysis.coefficients, atol=1e-12)
         assert weights[0] == pytest.approx(analysis.dominant_weight, abs=1e-12)
+
+
+class TestDominantBlock:
+    """The dominant eigenvector in a 2x2 or a 1x1 block, against the 9x9 analysis."""
+
+    # Steady states whose dominant eigenvector lies in the block M = 1 or
+    # M = -1, with ranks 2 and, for the last, 1.
+    PAIR_DOMINATED = [
+        (SystemParams(gamma_g_a=1.2, gamma_g_b=500.0, gamma_d_b=0.007, epsilon=20.0,
+                      delta=-1.1), 1),
+        (SystemParams(gamma_g_a=0.0014, gamma_g_b=11.0, gamma_d_b=330.0, epsilon=7.8,
+                      delta=2.3), 1),
+        (SystemParams(gamma_g_a=320.0, gamma_g_b=0.0017, gamma_d_b=1.5, epsilon=0.4,
+                      delta=-2.6), -1),
+        (SystemParams(gamma_g_a=1.25, gamma_g_b=0.005, gamma_d_b=5.5, epsilon=5.2,
+                      delta=0.68), -1),
+        (SystemParams(gamma_g_a=700.0, gamma_g_b=0.0011, gamma_d_b=9.0, epsilon=0.026,
+                      delta=0.44), -1),
+    ]
+
+    @staticmethod
+    def assert_matches_schmidt_analysis(states, spectra):
+        coeffs, ranks, weights = sector_schmidt(*spectra)
+        for rho, coefficients, rank, weight in zip(states, coeffs, ranks, weights):
+            analysis = schmidt_analysis(rho)
+            assert rank == analysis.rank
+            assert_allclose(coefficients, analysis.coefficients, rtol=0.0, atol=1e-12)
+            assert weight == pytest.approx(analysis.dominant_weight, abs=1e-12)
+        return ranks
+
+    def test_steady_states_dominated_by_a_pair_block(self):
+        points, labels = zip(*self.PAIR_DOMINATED)
+        batch = steady_states(points)
+        assert batch.solved.all()
+        block = batch.eigenvalues[:, BLOCK_TOPS].argmax(axis=-1)
+        assert block.tolist() == [{1: 1, -1: 3}[label] for label in labels]
+        spectra = (batch.eigenvalues, batch.pair_ratios, batch.center_vectors)
+        ranks = self.assert_matches_schmidt_analysis(batch.states, spectra)
+        assert ranks.tolist() == [2, 2, 2, 2, 1]
+        # No channel moves weight into M = +-2: gain lifts m = -1 to 0,
+        # damping lowers m = +1 to 0, and the exchange keeps M.  So no
+        # steady state has its dominant eigenvector in a 1x1 block, and
+        # that case is driven with states built by hand below.
+        assert np.abs(batch.eigenvalues[:, :2]).max() < 1e-14
+
+    @pytest.mark.parametrize("single, pair", [((1, 1), (1, 0)), ((-1, -1), (-1, 0))])
+    @pytest.mark.parametrize("split", [1e-3, -1e-3])
+    def test_single_block_dominated_states(self, single, pair, split):
+        # 0.5 + split on a 1x1 block, the rest on an entangled vector of
+        # the 2x2 block next to it.
+        kets = joint_index(*pair), joint_index(*pair[::-1])
+        rho = ((0.5 + split) * pure_state((1.0, joint_index(*single)))
+               + (0.5 - split) * pure_state((0.8, kets[0]), (0.6, kets[1])))
+        ranks = self.assert_matches_schmidt_analysis(
+            rho[None], block_spectra(sector_entries(rho[None])))
+        assert ranks.tolist() == [1 if split > 0 else 2]
+
+    @pytest.mark.parametrize("single, pair, rank", [(0, 1, 1), (-1, -1, 2)])
+    def test_tie_between_a_single_and_a_pair_block(self, single, pair, rank):
+        # Weight 0.5 on |+1,+1> (or |-1,-1>), and the block M = 1 (or
+        # M = -1) filled with 0.25, whose eigenvalues are exactly 0 and 0.5.
+        # The block first in the order M = 2, 1, 0, -1, -2 wins: |+1,+1>
+        # over the pair, the pair over |-1,-1>.
+        rho = np.zeros((9, 9), dtype=complex)
+        corner = joint_index(1, 1) if single == 0 else joint_index(-1, -1)
+        rho[corner, corner] = 0.5
+        members = ([joint_index(1, 0), joint_index(0, 1)] if pair == 1
+                   else [joint_index(0, -1), joint_index(-1, 0)])
+        rho[np.ix_(members, members)] = 0.25
+        spectra = block_spectra(sector_entries(rho[None]))
+        tops = spectra[0][0, BLOCK_TOPS]
+        assert tops.tolist().count(0.5) == 2
+        coeffs, ranks, weights = sector_schmidt(*spectra)
+        assert ranks.tolist() == [rank] and weights.tolist() == [0.5]
+        expected = [1.0, 0.0, 0.0] if rank == 1 else [np.sqrt(0.5)] * 2 + [0.0]
+        assert_allclose(coeffs[0], expected, rtol=0.0, atol=1e-15)

@@ -652,8 +652,8 @@ class TestSteadyState:
         assert batch.sectors.shape == (0, 19)
         assert batch.residuals.shape == (0,)
         assert batch.errors == ()
-        records, chunk = sweep._evaluate_chunk([], QuadratureSpec())
-        assert records == [] and chunk.errors == ()
+        table, chunk = sweep._evaluate_chunk([], QuadratureSpec())
+        assert table.records() == [] and chunk.errors == ()
 
     @pytest.mark.parametrize(
         "params, text",
@@ -791,7 +791,7 @@ class TestPerPointOracle:
     def test_wide_range_draws(self):
         rng = np.random.default_rng(903)
         points = [wide_range_params(rng) for _ in range(300)]
-        records = sweep._run_points(points, QuadratureSpec())
+        records = sweep._run_points(points, QuadratureSpec()).records()
         assert_records_match_per_point(records, points)
         refused = sum(r.status.startswith("solve:") for r in records)
         assert 0 < refused < 300
@@ -831,7 +831,7 @@ class TestPerPointOracle:
                 "gamma_g_b", "gamma_d_b")
             points.append(dataclasses.replace(
                 wide_range_params(rng), **dict.fromkeys(zeroed, 0.0)))
-        records = sweep._run_points(points, QuadratureSpec())
+        records = sweep._run_points(points, QuadratureSpec()).records()
         for record, params in zip(records, points):
             assert_same_refusal(record.status, per_point_record(params).status, params)
         statuses = {r.status for r in records}
@@ -915,7 +915,7 @@ class TestKernelCertificate:
             return combine(weights, basis)
 
         monkeypatch.setattr(liouvillian, "_combine", recording_combine)
-        records = sweep._run_points(weights, QuadratureSpec())
+        records = sweep._run_points(weights, QuadratureSpec()).records()
         assert all(r.status == "ok" for r in records)
         assert assembled == [((7, 19), np.complex128), ((7, 17), np.float64)]
         stack = [((121, 19, 19), np.float64)]

@@ -18,11 +18,13 @@ from spinsync.operators import (
     SECTOR_ENTRIES,
     SINGLE_DIM,
     InvalidStateError,
+    block_eigenvalues,
     dissipator,
     embed,
     hermitian_eigenvalues,
     index_of_m,
     joint_index,
+    m_block_eigensystem,
     partial_trace,
     partial_transpose,
     sector_matrix,
@@ -30,7 +32,6 @@ from spinsync.operators import (
     sector_state_errors,
     sector_trace,
     spin1_operators,
-    state_blocks,
     validate_density_matrix,
 )
 
@@ -271,12 +272,17 @@ class TestValidateDensityMatrix:
             validate_density_matrix(rho, trace_tol=1e-5, psd_tol=1e-8)
 
 
-def block_diagonal(blocks: np.ndarray, labels: list[int]) -> np.ndarray:
-    """The 9x9 matrix with the (5, 3, 3) blocks on the joint indices of each label."""
+def block_diagonal(entries: np.ndarray, labels: list[int]) -> np.ndarray:
+    """The 9x9 Hermitian matrix with a block table's entries on each label's joint indices."""
     out = np.zeros((9, 9), dtype=complex)
-    for block, label in zip(blocks, range(2, -3, -1)):
-        members = [j for j in range(9) if labels[j] == label]
-        out[np.ix_(members, members)] = block[:len(members), :len(members)]
+    members = {label: [j for j in range(9) if labels[j] == label] for label in range(-2, 3)}
+    for k, label in enumerate((2, -2)):
+        out[members[label][0], members[label][0]] = entries[k]
+    for k, label in enumerate((1, -1)):
+        first, second = members[label]
+        out[first, first], out[second, second] = entries[2 + k], entries[4 + k]
+        out[first, second], out[second, first] = entries[6 + k], entries[6 + k].conjugate()
+    out[np.ix_(members[0], members[0])] = entries[8:].reshape(3, 3)
     return out
 
 
@@ -296,16 +302,16 @@ class TestSectorLayout:
     @settings(max_examples=30, deadline=None)
     @given(sector_density_matrices())
     def test_blocks_rebuild_the_state_and_its_partial_transpose(self, rho):
+        # Hermitian bit for bit, so that each 2x2 block's lower corner is
+        # the conjugate of the upper one the table holds.
+        rho = 0.5 * (rho + rho.conj().T)
         x = rho.reshape(-1)[SECTOR_ENTRIES]
         assert np.array_equal(sector_matrix(x), rho)
-        blocks = state_blocks(x[None], M_BLOCKS)[0]
-        assert np.array_equal(block_diagonal(blocks, self.M_TOTAL), rho)
-        transposed = state_blocks(x[None], PARTIAL_TRANSPOSE_BLOCKS)[0]
-        assert np.array_equal(block_diagonal(transposed, self.M_DIFFERENCE),
+        assert np.array_equal(block_diagonal(x[M_BLOCKS], self.M_TOTAL), rho)
+        assert np.array_equal(block_diagonal(x[PARTIAL_TRANSPOSE_BLOCKS], self.M_DIFFERENCE),
                               partial_transpose(rho, "A"))
-        # Padding is zero.
-        for table, stack in ((M_BLOCKS, blocks), (PARTIAL_TRANSPOSE_BLOCKS, transposed)):
-            assert np.all(stack[table == 19] == 0.0)
+        for table in (M_BLOCKS, PARTIAL_TRANSPOSE_BLOCKS):
+            assert len(set(table.tolist())) == 17
 
     def test_trace_and_populations_match_the_matrix(self):
         rng = np.random.default_rng(17)
@@ -325,9 +331,95 @@ class TestSectorLayout:
         negative /= np.trace(negative).real
         states = [good, 2.0 * good, negative]
         x = np.array(states).reshape(3, 81)[:, SECTOR_ENTRIES]
-        errors = sector_state_errors(x, np.linalg.eigvalsh(state_blocks(x, M_BLOCKS)))
-        assert errors[0] is None
-        for rho, error in zip(states[1:], errors[1:]):
+        errors = sector_state_errors(x, block_eigenvalues(x, M_BLOCKS))
+        assert sorted(errors) == [1, 2]
+        for rho, error in zip(states[1:], (errors[1], errors[2])):
             with pytest.raises(InvalidStateError) as raised:
                 validate_density_matrix(rho)
             assert type(error) is InvalidStateError and str(error) == str(raised.value)
+
+
+def pair_state(a: float, d: float, c: complex) -> np.ndarray:
+    """A sector state with the M = 1 block [[a, c], [c*, d]], mirrored at M = -1."""
+    x = np.zeros((1, 19), dtype=complex)
+    x[0, M_BLOCKS[[2, 4, 6]]] = a, d, c
+    x[0, M_BLOCKS[[3, 5, 7]]] = d, a, np.conj(c)
+    return x
+
+
+class TestClosedForms:
+    """The 2x2 blocks' eigenvalues and Schmidt ratios against LAPACK."""
+
+    EPS = np.finfo(float).eps
+
+    # (a, d, c): degenerate; |c| >> |h| and |c| << |h| down to ratios of
+    # 1e-300; whole blocks at 1e-300; complex phases.
+    BLOCKS = [
+        (0.3, 0.3, 0.0),
+        (0.0, 0.0, 0.0),
+        (0.25 + 1e-300, 0.25, 0.4),
+        (0.25, 0.25, 1e-300),
+        (0.7, 0.1, 1e-300j),
+        (0.7, 0.1, (1e-17 - 2e-17j)),
+        (0.2, 0.2 + 1e-17, 0.3 - 0.1j),
+        (3e-300, 1e-300, 1e-300),
+        (1e-300, 1e-300, 1e-300j),
+        (0.4, 0.0, -0.2 + 0.2j),
+    ]
+
+    @pytest.mark.parametrize("a, d, c", BLOCKS)
+    def test_match_eigh(self, a, d, c):
+        x = pair_state(a, d, c)
+        spectrum, ratios, _ = m_block_eigensystem(x)
+        assert np.array_equal(spectrum, block_eigenvalues(x, M_BLOCKS))
+        values, vectors = np.linalg.eigh(np.array([[a, c], [np.conj(c), d]]))
+        scale = max(abs(a), abs(d), abs(c))
+        for k in (0, 1):
+            # Lower and upper eigenvalues of the block and of its mirror.
+            assert_allclose(spectrum[0, [2 + k, 4 + k]], values, rtol=0.0,
+                            atol=4 * self.EPS * scale)
+            # Where the two eigenvalues agree to roundoff, any unit vector
+            # is an eigenvector to roundoff, and LAPACK's is arbitrary.
+            if values[1] - values[0] > 1e-8 * scale:
+                top = np.sort(np.abs(vectors[:, -1]))[::-1]
+                coefficients = np.array([1.0, ratios[0, k]]) / np.hypot(1.0, ratios[0, k])
+                assert_allclose(coefficients, top, rtol=0.0, atol=4 * self.EPS)
+        assert 0.0 <= ratios.min() and ratios.max() <= 1.0
+
+    def test_near_degenerate_block_keeps_its_exact_vector(self):
+        # [[a, c], [c, a]] has the top eigenvector (1, 1) / sqrt(2) however
+        # small c is, though a +- c rounds to a.
+        x = pair_state(0.25, 0.25, 1e-300)
+        spectrum, ratios, _ = m_block_eigensystem(x)
+        assert spectrum[0, 2:6].tolist() == [0.25] * 4
+        assert ratios.tolist() == [[1.0, 1.0]]
+
+    def test_degenerate_block_is_a_product(self):
+        assert m_block_eigensystem(pair_state(0.3, 0.3, 0.0))[1].tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-150, 1e-300])
+    def test_small_ratio_has_no_cancellation(self, c):
+        # r - |h| would lose every digit of |c|^2 / (2 |h|); the ratio keeps
+        # them.
+        ratios = m_block_eigensystem(pair_state(1.0, 0.0, c))[1]
+        assert_allclose(ratios, c, rtol=4 * self.EPS)
+
+    @pytest.mark.parametrize("excess", [0.9997e-10, 1.0003e-10])
+    def test_eigenvalue_straddling_the_psd_tolerance(self, excess):
+        # The blocks M = 1 and M = -1 are both [[0.25, c], [c, 0.25]], with
+        # the eigenvalue 0.25 - c = -excess.  The decision and the text
+        # match validate_density_matrix on the 9x9 matrix.
+        c = 0.25 + excess
+        rho = np.zeros((9, 9), dtype=complex)
+        for m in (1, -1):
+            members = [joint_index(m, 0), joint_index(0, m)]
+            rho[np.ix_(members, members)] = [[0.25, c], [c, 0.25]]
+        x = rho.reshape(1, 81)[:, SECTOR_ENTRIES]
+        errors = sector_state_errors(x, block_eigenvalues(x, M_BLOCKS))
+        if excess < 1e-10:
+            validate_density_matrix(rho)
+            assert errors == {}
+        else:
+            with pytest.raises(InvalidStateError, match="positive semidefinite") as raised:
+                validate_density_matrix(rho)
+            assert list(errors) == [0] and str(errors[0]) == str(raised.value)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -112,7 +113,7 @@ class TestChunkIsolation:
     ]
 
     def test_refused_points_match_their_solo_records(self):
-        records = sweep._run_points(self.POINTS, QuadratureSpec())
+        records = sweep._run_points(self.POINTS, QuadratureSpec()).records()
         solo = [run_steady_point(p) for p in self.POINTS]
         assert all(same_record(a, b) for a, b in zip(records, solo))
         assert records[0].status.startswith("solve: steady state is not unique")
@@ -123,7 +124,7 @@ class TestChunkIsolation:
         # delta = 1e308 is finite, but the generator built from it is not;
         # LAPACK used to print a DLASCL error and the point came back "ok".
         huge = SystemParams(delta=1e308)
-        records = sweep._run_points([huge, FIG2], QuadratureSpec())
+        records = sweep._run_points([huge, FIG2], QuadratureSpec()).records()
         assert records[0].status.startswith("solve: generator has non-finite entries")
         assert records[0].schmidt_rank == 0 and math.isnan(records[0].residual)
         assert same_record(records[1], run_steady_point(FIG2))
@@ -150,9 +151,9 @@ class TestChunkIsolation:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
-        clean = sweep._run_points(points, QuadratureSpec())
+        clean = sweep._run_points(points, QuadratureSpec()).records()
         monkeypatch.setattr(np.linalg, "solve", failing_solve)
-        records = sweep._run_points(points, QuadratureSpec())
+        records = sweep._run_points(points, QuadratureSpec()).records()
         assert records[3].status == "solve: Singular matrix"
         assert records[3].schmidt_rank == 0 and math.isnan(records[3].max_s_rel)
         for i in (0, 1, 2, 4):
@@ -386,31 +387,35 @@ def record_lapack_calls(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
 
 
 class TestBlockMeasures:
-    """The measures run on 3x3 blocks, with no 9x9 eigensolver."""
+    """The measures run on blocks, with no 9x9 eigensolver.
+
+    Of the blocks of sizes 1, 2, 3, 2, 1 only the 3x3 one goes to LAPACK;
+    the others have closed forms.
+    """
 
     def test_lapack_calls_per_chunk(self, monkeypatch):
-        # One tongue chunk: the engine's stacked eigh of the M blocks serves
-        # the density-matrix checks, S(AB) and the Schmidt vector; one
-        # eigvalsh of the partial-transpose blocks gives the negativity.
+        # One tongue chunk: the engine's stacked eigh of the M = 0 blocks
+        # serves the density-matrix checks, S(AB) and the Schmidt vector;
+        # one eigvalsh of the m_A - m_B = 0 blocks gives the negativity.
         weights = sweep._grid(FIG2, epsilon=np.linspace(0.0, 0.1, 4),
                               delta=np.linspace(-1.0, 1.0, 8))
         calls = record_lapack_calls(monkeypatch)
-        records, _ = sweep._evaluate_chunk(weights, QuadratureSpec())
-        assert all(r.status == "ok" for r in records)
-        assert calls == {"eig": [], "eigh": [(32, 5, 3, 3)], "eigvals": [],
-                         "eigvalsh": [(32, 5, 3, 3)], "svd": []}
+        table, _ = sweep._evaluate_chunk(weights, QuadratureSpec())
+        assert table.statuses == ["ok"] * 32
+        assert calls == {"eig": [], "eigh": [(32, 3, 3)], "eigvals": [],
+                         "eigvalsh": [(32, 3, 3)], "svd": []}
 
     def test_lapack_calls_per_point_and_trace(self, monkeypatch):
         calls = record_lapack_calls(monkeypatch)
         evaluate_point(FIG2)
-        assert calls == {"eig": [], "eigh": [(1, 5, 3, 3)], "eigvals": [],
-                         "eigvalsh": [(1, 5, 3, 3)], "svd": []}
+        assert calls == {"eig": [], "eigh": [(1, 3, 3)], "eigvals": [],
+                         "eigvalsh": [(1, 3, 3)], "svd": []}
         # evolve validates the 9x9 initial state it is given; the samples
         # are measured on blocks.
         calls = record_lapack_calls(monkeypatch)
         sweep.dynamics_trace(FIG2, t_max=0.01, samples=3)
         assert calls == {"eig": [], "eigh": [], "eigvals": [],
-                         "eigvalsh": [(9, 9), (3, 5, 3, 3)], "svd": []}
+                         "eigvalsh": [(9, 9), (3, 3, 3)], "svd": []}
 
 
 class TestLinearRegression:
@@ -493,6 +498,37 @@ class TestCsvOutput:
         _, rows = read_rows(path)
         assert math.isnan(float(rows[0][2]))
         assert rows[0][11].startswith("solve:")
+
+    @staticmethod
+    def cli_and_api_files(tmp_path, command, base, argv, records):
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(dataclasses.asdict(base)))
+        paths = tmp_path / f"{command}-cli.csv", tmp_path / f"{command}-api.csv"
+        assert main([command, "--config", str(config), "--out", str(paths[0]), *argv]) == 0
+        write_sweep_csv(records, paths[1])
+        return [path.read_bytes() for path in paths]
+
+    def test_cli_writes_what_write_sweep_csv_writes(self, tmp_path):
+        # The CLI formats rows from the evaluated columns; its file must be
+        # the one the public functions write, refused points included: at
+        # epsilon = 0 the kernel is not unique, with nan measures, rank 0
+        # and a status naming two zero rates, and at delta = 0 the oracle
+        # fails as well.
+        base = SystemParams(gamma_g_a=0.0, gamma_d_b=0.0)
+        cli, api = self.cli_and_api_files(
+            tmp_path, "sweep", base, ["--eps-steps", "3", "--delta-steps", "5"],
+            arnold_sweep(base, steps=(3, 5)))
+        assert cli == api
+        _, rows = read_rows(tmp_path / "sweep-cli.csv")
+        assert len(rows) == 15 and all(len(row) == 12 for row in rows)
+        assert rows[2][11] == (f"oracle: {NO_STEADY_STATE}; solve: steady state is not "
+                               "unique: gamma_g_a; gamma_d_b and epsilon are zero")
+        assert rows[2][2:8] == ["nan"] * 5 + ["0"] and rows[2][10] == "nan"
+        assert rows[0][11].startswith("solve: ") and rows[14][11] == "ok"
+        cli, api = self.cli_and_api_files(
+            tmp_path, "scan-balanced", BALANCED, ["--gdb-min", "2.0", "--steps", "4"],
+            balanced_cut_scan(BALANCED, ratio_range=(2.0, 199.0), steps=4))
+        assert cli == api
 
     def test_dynamics_header_and_roundtrip(self, tmp_path, fig2_dynamics):
         path = tmp_path / "dyn.csv"
