@@ -54,8 +54,8 @@ from .operators import (
     M_VALUES,
     LinearSolveError,
     embed,
-    sector_matrix,
     m_block_eigensystem,
+    sector_matrix,
     sector_state_errors,
     spin1_operators,
     validate_density_matrix,
@@ -302,18 +302,17 @@ class SteadyStates:
     19 k = 0 entries sectors[i] (see operators.SECTOR_ENTRIES), with
     residual residuals[i].  Otherwise errors[i] is the exception
     steady_state raises for that point, sectors[i] is zero and
-    residuals[i] is nan; solved[i] says which.  eigenvalues (n, 9),
-    pair_ratios (n, 2) and center_vectors (n, 3, 3) are
-    operators.m_block_eigensystem of each state: its whole spectrum, by
-    blocks in M = m_A + m_B, the Schmidt ratios of its 2x2 blocks and the
-    eigenvectors of its 3x3 block, which the density-matrix checks and the
-    measures share.  They are zero for a refused point.
+    residuals[i] is nan.  eigenvalues (n, 9), pair_ratios (n, 2) and
+    center_vectors (n, 3, 3) are operators.m_block_eigensystem of each
+    state: its whole spectrum, by blocks in M = m_A + m_B, the Schmidt
+    ratios of its 2x2 blocks and the eigenvectors of its 3x3 block, which
+    the density-matrix checks and the measures share.  They are zero for a
+    refused point.
     """
 
     sectors: np.ndarray = field(repr=False)
     residuals: np.ndarray
     errors: tuple[Exception | None, ...]
-    solved: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     pair_ratios: np.ndarray = field(repr=False)
     center_vectors: np.ndarray = field(repr=False)
@@ -326,8 +325,8 @@ class SteadyStates:
 
 def check_weights(weights: np.ndarray) -> None:
     """Refuse (n, 7) weights as SystemParams refuses the first invalid row."""
-    valid = (np.isfinite(weights).all(axis=-1)
-             & (weights[:, :5] >= 0.0).all(axis=-1) & (weights[:, 1] > 0.0))
+    valid = (np.all(np.isfinite(weights), axis=-1)
+             & np.all(weights[:, :5] >= 0.0, axis=-1) & (weights[:, 1] > 0.0))
     bad = np.flatnonzero(~valid)
     if len(bad):
         SystemParams(*weights[bad[0]].tolist())
@@ -362,15 +361,18 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
     except np.linalg.LinAlgError as exc:
         if len(weights) == 1:
             return SteadyStates(np.zeros((1, 19), dtype=complex), np.full(1, np.nan),
-                                (exc,), np.zeros(1, dtype=bool), np.zeros((1, 9)),
+                                (exc,), np.zeros((1, 9)),
                                 np.zeros((1, 2)), np.zeros((1, 3, 3), dtype=complex))
         halves = [steady_states(weights[:len(weights) // 2]),
                   steady_states(weights[len(weights) // 2:])]
-        return SteadyStates(*[
-            halves[0].errors + halves[1].errors if f.name == "errors"
-            else np.concatenate([getattr(h, f.name) for h in halves])
-            for f in fields(SteadyStates)
-        ])
+        return SteadyStates(
+            np.concatenate([h.sectors for h in halves]),
+            np.concatenate([h.residuals for h in halves]),
+            halves[0].errors + halves[1].errors,
+            np.concatenate([h.eigenvalues for h in halves]),
+            np.concatenate([h.pair_ratios for h in halves]),
+            np.concatenate([h.center_vectors for h in halves]),
+        )
 
 
 def _real_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -388,8 +390,8 @@ def _real_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         complex_entries = _combine(weights, _K0_DISTINCT)
         entries = _combine(weights, _REAL_DISTINCT)[:, _REAL_INDEX] * _REAL_SIGN
-    return (entries, np.isfinite(complex_entries).all(axis=-1),
-            np.abs(complex_entries).max(axis=-1))
+    return (entries, np.all(np.isfinite(complex_entries), axis=-1),
+            np.max(np.abs(complex_entries), axis=-1))
 
 
 def _real_block(entries: np.ndarray) -> np.ndarray:
@@ -448,10 +450,10 @@ def _conditioning_certified(block: np.ndarray, scale: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.swapaxes(block, -1, -2) @ block
         diagonal = gram.reshape(n, dim * dim)[:, ::dim + 1]
-        frobenius = np.sqrt(diagonal.sum(axis=-1))
+        frobenius = np.sqrt(np.sum(diagonal, axis=-1))
         tau = np.maximum(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * frobenius)
         gram[:, :_POPULATIONS, :_POPULATIONS] += (scale ** 2)[:, None, None]
-        trace = diagonal.sum(axis=-1)
+        trace = np.sum(diagonal, axis=-1)
         diagonal -= ((2.0 * tau) ** 2 + 2 * (dim + 2) * np.finfo(float).eps * trace)[:, None]
         try:
             factor = np.linalg.cholesky(gram)
@@ -465,26 +467,26 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
     structural = _structurally_unique(weights)
     # R can exceed max|B_0| by a factor of up to 2, so it may overflow where
     # B_0 does not; such a point is refused as an overflow too.
-    finite &= np.isfinite(entries).all(axis=-1)
+    finite &= np.all(np.isfinite(entries), axis=-1)
 
     errors: list[Exception | None] = [None] * len(weights)
-    for i in (~finite).nonzero()[0]:
+    for i in np.flatnonzero(~finite):
         errors[i] = ValueError(
             "generator has non-finite entries: the parameters overflow "
             "double precision"
         )
-    for i in (finite & ~structural).nonzero()[0]:
+    for i in np.flatnonzero(finite & ~structural):
         errors[i] = _structural_refusal(weights[i])
-    unique = finite & structural
-    block = _real_block(entries[unique])
-    scale = gen_scale[unique]
-    rates = weights[unique, :4].sum(axis=-1)
+    candidate = finite & structural
+    block = _real_block(entries[candidate])
+    scale = gen_scale[candidate]
+    rates = np.sum(weights[candidate, :4], axis=-1)
     if not _conditioning_certified(block, scale, rates):
         # The test itself, from the singular values of the k = 0 block.
         singular = np.linalg.svd(block, compute_uv=False)
         bound = np.maximum(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * singular[:, 0])
         conditioned = singular[:, -2] >= bound
-        for j, i in enumerate(unique.nonzero()[0]):
+        for j, i in enumerate(np.flatnonzero(candidate)):
             if not conditioned[j]:
                 errors[i] = NonUniqueSteadyStateError(
                     "steady state is not unique to double precision: "
@@ -492,7 +494,7 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
                     f"{bound[j]:.3e}"
                 )
         block, scale = block[conditioned], scale[conditioned]
-        unique[unique] = conditioned
+    unique = np.array([e is None for e in errors], dtype=bool)
 
     # Trace preservation makes the nine population rows of R sum to zero,
     # so the first, <+1,+1|rho|+1,+1>, is redundant: the trace row takes its
@@ -503,7 +505,7 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
     rhs = np.zeros((len(square), 19, 1))
     rhs[:, 0] = 1.0
     y = np.linalg.solve(square, rhs)[..., 0]
-    y = y / y[:, :_POPULATIONS].sum(axis=-1, keepdims=True)
+    y = y / np.sum(y[:, :_POPULATIONS], axis=-1, keepdims=True)
     # Hermitian by construction: each coherence and its adjoint are formed
     # from the same two real coordinates.
     x = y @ _HERMITIAN_BASIS.T
@@ -515,32 +517,25 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
     # for a point that fails; the residual is reported first.  Written so
     # that a nan residual is refused too.
     failed = sector_state_errors(x, spectra[0])
-    for j in (~(residual <= tol)).nonzero()[0].tolist():
+    for j in np.flatnonzero(~(residual <= tol)):
         failed[j] = LinearSolveError(
             f"steady-state residual {residual[j]:.3e} exceeds {tol[j]:.3e}",
-            float(residual[j]))
-    columns = (x, residual, *spectra)
-    solved = unique
-    # The arrays are spread over the whole stack only when a point was
-    # refused.
-    if failed or not unique.all():
-        rows = unique.nonzero()[0]
-        for j, error in failed.items():
-            errors[rows[j]] = error
-        kept = np.ones(len(rows), dtype=bool)
-        kept[list(failed)] = False
-        solved = np.zeros(len(weights), dtype=bool)
-        solved[rows[kept]] = True
+            float(residual[j]),
+        )
+    rows = np.flatnonzero(unique)
+    for j, error in failed.items():
+        errors[rows[j]] = error
 
-        def scatter(values: np.ndarray, fill: float) -> np.ndarray:
-            out = np.full((len(weights),) + values.shape[1:], fill, dtype=values.dtype)
-            out[solved] = values[kept]
-            return out
+    solved = np.array([e is None for e in errors], dtype=bool)
+    kept = solved[unique]
 
-        columns = [scatter(values, math.nan if values is residual else 0.0)
-                   for values in columns]
-    x, residual, *spectra = columns
-    return SteadyStates(x, residual, tuple(errors), solved, *spectra)
+    def scatter(values: np.ndarray, fill: float) -> np.ndarray:
+        out = np.full((len(weights),) + values.shape[1:], fill, dtype=values.dtype)
+        out[solved] = values[kept]
+        return out
+
+    return SteadyStates(scatter(x, 0.0), scatter(residual, np.nan), tuple(errors),
+                        *[scatter(values, 0.0) for values in spectra])
 
 
 def steady_state(

@@ -282,12 +282,12 @@ def sector_state_errors(
     InvalidStateError it raises for that matrix.
     """
     tol = 1e-10
-    dev = np.abs(x - x[:, _SECTOR_ADJOINT].conj()).max(axis=-1)
+    dev = np.max(np.abs(x - x[:, _SECTOR_ADJOINT].conj()), axis=-1)
     trace = sector_trace(x)
-    lowest = eigenvalues.min(axis=-1)
+    lowest = np.min(eigenvalues, axis=-1)
     failing = (dev > tol) | (np.abs(trace - 1.0) > tol) | (lowest < -tol)
     return {i: _violation(dev[i], trace[i], lowest[i], tol, tol, tol)
-            for i in failing.nonzero()[0].tolist()}
+            for i in np.flatnonzero(failing)}
 
 
 def validate_density_matrix(

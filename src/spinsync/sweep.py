@@ -134,7 +134,7 @@ def _evaluate_chunk(
     weights = as_weights(points)
     oracle, defined = peak_and_negativity_first_order(weights)
     batch = steady_states(weights)
-    solved = batch.solved
+    solved = np.array([e is None for e in batch.errors], dtype=bool)
     # Measures are taken on the solved states only, which passed the
     # density-matrix checks.
     x = batch.sectors[solved]
@@ -154,7 +154,7 @@ def _evaluate_chunk(
     columns[_RANK + 1:_RESIDUAL] = oracle.T
     columns[_RESIDUAL, solved] = batch.residuals[solved]
     statuses = ["ok"] * len(weights)
-    for i in (~(defined & solved)).nonzero()[0].tolist():
+    for i in np.flatnonzero(~(defined & solved)):
         messages = [] if defined[i] else [f"oracle: {NO_STEADY_STATE}"]
         if batch.errors[i] is not None:
             messages.append(f"solve: {batch.errors[i]}")
@@ -265,8 +265,6 @@ def _run_points(
     # One table per chunk, joined; no points make one empty chunk.
     chunks = [_evaluate_chunk(points[start:start + CHUNK_SIZE], quad)[0]
               for start in range(0, max(len(points), 1), CHUNK_SIZE)]
-    if len(chunks) == 1:
-        return chunks[0]
     return _SweepTable(np.concatenate([c.values for c in chunks]),
                        [status for c in chunks for status in c.statuses])
 
@@ -342,18 +340,16 @@ def linear_regression(xs, ys) -> RegressionResult:
     )
 
 
-# The row templates: 12 significant digits for every float.
+def _fmt(value: float) -> str:
+    return "%.12g" % value
+
+
+# The sweep row template: 12 significant digits for every float.
 _SWEEP_ROW = ",".join(["%.12g"] * _RANK + ["%d"] + ["%.12g"] * 3 + ["%s"])
-_DYNAMICS_ROW = ",".join(["%.12g"] * 5)
 
 
 def _sanitize(status: str) -> str:
     return status.replace(",", ";").replace("\n", " ")
-
-
-def _write_lines(lines: list[str], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_sweep_rows(values: list[Sequence], statuses: list[str], path) -> None:
@@ -363,8 +359,11 @@ def _write_sweep_rows(values: list[Sequence], statuses: list[str], path) -> None
     for row, status in zip(values, statuses):
         items += row
         items.append(_sanitize(status))
-    body = "\n".join([_SWEEP_ROW] * len(statuses)) % tuple(items)
-    _write_lines([SWEEP_CSV_HEADER, body] if statuses else [SWEEP_CSV_HEADER], path)
+    lines = [SWEEP_CSV_HEADER]
+    if statuses:
+        lines.append("\n".join([_SWEEP_ROW] * len(statuses)) % tuple(items))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
@@ -375,6 +374,11 @@ def write_sweep_csv(records: list[SweepRecord], path) -> None:
 
 def write_dynamics_csv(rows: list[DynamicsRow], path) -> None:
     """Write a dynamics trace with the fixed column layout."""
-    _write_lines([DYNAMICS_CSV_HEADER] + [
-        _DYNAMICS_ROW % (r.t, r.s_rel_peak, r.s_rel_peak_oracle, r.negativity, r.trace_error)
-        for r in rows], path)
+    lines = [DYNAMICS_CSV_HEADER]
+    for r in rows:
+        lines.append(",".join([
+            _fmt(r.t), _fmt(r.s_rel_peak), _fmt(r.s_rel_peak_oracle),
+            _fmt(r.negativity), _fmt(r.trace_error),
+        ]))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
