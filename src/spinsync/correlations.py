@@ -117,7 +117,7 @@ def schmidt_analysis(
 def sector_negativity(x: np.ndarray) -> np.ndarray:
     """Negativity of each sector state x (n, 19), from the partial-transpose blocks."""
     eigenvalues = block_eigenvalues(x, PARTIAL_TRANSPOSE_BLOCKS)
-    value = 0.5 * (np.sum(np.abs(eigenvalues), axis=-1) - 1.0)
+    value = 0.5 * (np.abs(eigenvalues).sum(axis=-1) - 1.0)
     return np.where(value > 0.0, value, 0.0)
 
 
@@ -130,7 +130,7 @@ def sector_mutual_information(x: np.ndarray, eigenvalues: np.ndarray) -> np.ndar
     populations = sector_populations(x)
     local = _entropy_terms(np.concatenate(
         [populations.sum(axis=-1), populations.sum(axis=-2)], axis=-1))
-    value = np.sum(local, axis=-1) - np.sum(_entropy_terms(eigenvalues), axis=-1)
+    value = local.sum(axis=-1) - _entropy_terms(eigenvalues).sum(axis=-1)
     return np.where(value > 0.0, value, 0.0)
 
 
@@ -160,7 +160,7 @@ def sector_schmidt(
     """
     _check_rank_threshold(rank_threshold)
     tops = eigenvalues[:, BLOCK_TOPS]
-    block = np.argmax(tops, axis=-1)
+    block = tops.argmax(axis=-1)
     rows = np.arange(len(block))
     # Each block's candidate, in the order of BLOCK_TOPS.
     norm = 1.0 / np.sqrt(1.0 + pair_ratios**2)
@@ -170,5 +170,5 @@ def sector_schmidt(
     candidates[:, 1::2, 1] = pair_ratios * norm
     candidates[:, 2] = np.sort(np.abs(center_vectors[:, :, -1]), axis=-1)[:, ::-1]
     coeffs = candidates[rows, block]
-    ranks = np.sum(coeffs > rank_threshold * coeffs[:, :1], axis=-1)
+    ranks = (coeffs > rank_threshold * coeffs[:, :1]).sum(axis=-1)
     return coeffs, ranks, tops[rows, block]

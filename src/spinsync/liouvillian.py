@@ -517,12 +517,12 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
     # for a point that fails; the residual is reported first.  Written so
     # that a nan residual is refused too.
     failed = sector_state_errors(x, spectra[0])
-    for j in np.flatnonzero(~(residual <= tol)):
+    for j in (~(residual <= tol)).nonzero()[0].tolist():
         failed[j] = LinearSolveError(
             f"steady-state residual {residual[j]:.3e} exceeds {tol[j]:.3e}",
             float(residual[j]),
         )
-    rows = np.flatnonzero(unique)
+    rows = unique.nonzero()[0]
     for j, error in failed.items():
         errors[rows[j]] = error
 

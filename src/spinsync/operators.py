@@ -282,12 +282,12 @@ def sector_state_errors(
     InvalidStateError it raises for that matrix.
     """
     tol = 1e-10
-    dev = np.max(np.abs(x - x[:, _SECTOR_ADJOINT].conj()), axis=-1)
+    dev = np.abs(x - x[:, _SECTOR_ADJOINT].conj()).max(axis=-1)
     trace = sector_trace(x)
-    lowest = np.min(eigenvalues, axis=-1)
+    lowest = eigenvalues.min(axis=-1)
     failing = (dev > tol) | (np.abs(trace - 1.0) > tol) | (lowest < -tol)
     return {i: _violation(dev[i], trace[i], lowest[i], tol, tol, tol)
-            for i in np.flatnonzero(failing)}
+            for i in failing.nonzero()[0].tolist()}
 
 
 def validate_density_matrix(

@@ -15,6 +15,7 @@ the same polynomial for one site.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,11 +133,20 @@ def _s_rel_mode_matrix() -> np.ndarray:
 _S_REL_MODES = _s_rel_mode_matrix()
 
 
+@functools.lru_cache(maxsize=4)
+def _output_grid(n_phi_out: int) -> tuple[np.ndarray, np.ndarray]:
+    # The uniform output grid and its waves e^{i k phi}, built once per
+    # grid size and shared, read-only, by every profile on that grid.
+    phis = 2.0 * np.pi * np.arange(n_phi_out) / n_phi_out
+    waves = np.exp(1j * np.multiply.outer(phis, _MODES))
+    phis.flags.writeable = waves.flags.writeable = False
+    return phis, waves
+
+
 def _on_grid(modes: np.ndarray, n_phi_out: int) -> PhaseDistribution:
     # sum_k modes[..., k] e^{i k phi} - 1/(2 pi) on the uniform output grid;
     # the modes come in conjugate pairs, so the sum is real.
-    phis = 2.0 * np.pi * np.arange(n_phi_out) / n_phi_out
-    waves = np.exp(1j * np.multiply.outer(phis, _MODES))
+    phis, waves = _output_grid(n_phi_out)
     values = np.real(np.einsum("pk,...k->...p", waves, modes)) - 1.0 / (2.0 * np.pi)
     return PhaseDistribution(phis=phis, values=values)
 

@@ -147,6 +147,16 @@ class TestSRel:
         assert len(dist.phis) == quad.n_phi_out
         assert_allclose(dist.phis, 2.0 * np.pi * np.arange(64) / 64.0, atol=1e-15)
 
+    def test_grid_is_shared_read_only(self, quad):
+        # Every profile on one grid size shares its phases, so no caller
+        # can change them for the next.
+        first = s_rel(hermitian_locked_state(0.0), quad)
+        second = p_single(np.eye(3) / 3.0, quad)
+        assert first.phis is second.phis
+        with pytest.raises(ValueError):
+            first.phis[0] = 1.0
+        assert second.phis[0] == 0.0
+
     def test_unlocked_state_is_flat(self, quad):
         dist = s_rel(hermitian_locked_state(0.0), quad)
         assert np.max(np.abs(dist.values)) <= 1e-13
