@@ -1,8 +1,9 @@
 """Command-line surface: steady points, sweeps, cuts, dynamics, regression.
 
-Exit codes: 0 on success, 1 for bad arguments or config, 2 when the steady
-solver fails on a single-point run.  Sweep runs always exit 0 and record
-per-point failures in the CSV status column.
+Exit codes: 0 on success, 1 for bad arguments or config or an output file
+that cannot be written, 2 when the steady solver fails on a single-point
+run.  Sweep runs always exit 0 and record per-point failures in the CSV
+status column.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,8 +21,10 @@ Hermitian matrices, so in a Hermitian basis of the sector (the nine
 populations, then sqrt(2) times the real and the imaginary parts of the
 five upper coherences) the block is the real matrix R = T^H B_0 T, with T
 unitary (the coherence-vector form: Alicki and Lendi, Quantum Dynamical
-Semigroups and Applications, Springer 1987); the steady path assembles R from its 64 nonzero entries and works
-in these real coordinates y = T^H x throughout.  Whether the steady state
+Semigroups and Applications, Springer 1987).  The steady path forms no
+complex block: it assembles R from its 64 nonzero entries, takes the
+overflow check and the scale max|R| from them, and works in these real
+coordinates y = T^H x throughout.  Whether the steady state
 is unique depends only on which channels are on: it is when all four
 rates are positive, or when the exchange and at least one gain are.  A
 point that passes this rule must also be solvable in double precision:
@@ -52,6 +54,7 @@ import numpy as np
 
 from .operators import (
     M_VALUES,
+    SECTOR_ENTRIES,
     LinearSolveError,
     embed,
     m_block_eigensystem,
@@ -200,91 +203,47 @@ lives in k = 0.
 """
 
 
-def _nonzero_columns(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The positions of the columns of a flattened basis (7, m) that are
-    # nonzero in some basis superoperator, and the basis restricted to them.
-    # Every other entry is zero at every point.
-    entries = np.flatnonzero(np.any(flat != 0.0, axis=0))
-    return entries, flat[:, entries]
-
-
-def _distinct_columns(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The columns of basis (7, m) that differ other than by sign, and for
-    # each column the index of its distinct column and the sign that gives
-    # it back: basis == distinct[:, index] * sign.  Rounding is symmetric,
-    # so the combination of -b is the negated combination of b, bit for bit
-    # but for the sign of a zero, and each distinct column is combined once.
-    parts = np.concatenate([basis.real, basis.imag])
-    sign = np.sign(parts[np.argmax(parts != 0.0, axis=0), np.arange(basis.shape[1])])
-    _, first, index = np.unique(parts * sign, axis=1, return_index=True,
-                                return_inverse=True)
-    return (basis * sign)[:, first], index.reshape(-1), sign
-
-
 # The seven basis superoperators restricted to the k = 0 sector, (7, 19, 19).
 _K0_BLOCKS = _BASIS[:, EXCITATION_SECTORS[0]][:, :, EXCITATION_SECTORS[0]]
-
-# The complex k = 0 block B_0 has 70 nonzero entries, from 19 distinct
-# columns of the basis up to sign.  Those give max|B_0| and the overflow
-# mask: a column and its negation have the same magnitude and finiteness.
-_K0_DISTINCT = _distinct_columns(_nonzero_columns(_K0_BLOCKS.reshape(7, -1))[1])[0]
 
 # The nine populations come first in the real coordinates y, and their sum
 # is the trace.
 _POPULATIONS = 9
 
 
-def _hermitian_coordinates() -> tuple[np.ndarray, np.ndarray]:
-    # Column j of T holds coefficients[:, j] at the sector positions
-    # rows[:, j]: a population |r><r| alone (its second coefficient is 0),
-    # then (|r><c| + |c><r|) / sqrt(2) and i (|r><c| - |c><r|) / sqrt(2)
-    # for each of the five upper coherences r < c.
-    row, col = np.divmod(EXCITATION_SECTORS[0], 9)
-    position = {index: j for j, index in enumerate(EXCITATION_SECTORS[0])}
-    populations = np.flatnonzero(row == col)
-    upper = np.flatnonzero(row < col)
-    lower = np.array([position[9 * c + r] for r, c in zip(row[upper], col[upper])])
-    half = math.sqrt(0.5)
-    rows = np.stack([np.concatenate([populations, upper, upper]),
-                     np.concatenate([populations, lower, lower])])
-    coefficients = np.array([[1.0] * 9 + [half] * 5 + [1j * half] * 5,
-                             [0.0] * 9 + [half] * 5 + [-1j * half] * 5])
-    return rows, coefficients
+def _hermitian_basis() -> np.ndarray:
+    """The unitary T (19, 19) from real coordinates y to k = 0 sector states x = T y.
 
-
-_T_ROWS, _T_COEFFICIENTS = _hermitian_coordinates()
-
-# The unitary T (19, 19) from real coordinates y to k = 0 sector states
-# x = T y.  y holds the nine populations, then sqrt(2) Re and sqrt(2) Im of
-# the five upper coherences rho_rc, r < c, in the order of
-# operators.SECTOR_ENTRIES.  A sector state is Hermitian exactly when its y
-# is real, and a generator block B maps Hermitian states to Hermitian
-# states, so R = T^H B T is real.
-_HERMITIAN_BASIS = np.zeros((19, 19), dtype=complex)
-_HERMITIAN_BASIS[_T_ROWS[1], np.arange(19)] = _T_COEFFICIENTS[1]
-_HERMITIAN_BASIS[_T_ROWS[0], np.arange(19)] = _T_COEFFICIENTS[0]
-
-
-def _hermitian_form(blocks: np.ndarray) -> np.ndarray:
-    """T^H B T of sector blocks B (..., 19, 19), each entry summed in conjugate pairs.
-
-    T has two entries per column, conjugate where they differ.  For a block
-    with B[P a, P b] = conj(B[a, b]), P the swap of rho_rc and rho_cr, as
-    every generator block satisfies bit for bit, each entry of the result is
-    z + conj(z), so its imaginary part is exactly zero.
+    Its columns are the populations |r><r|, then (|r><c| + |c><r|) / sqrt(2)
+    and i (|r><c| - |c><r|) / sqrt(2) for the five upper coherences r < c in
+    the order of operators.SECTOR_ENTRIES: y holds the nine populations,
+    then sqrt(2) Re and sqrt(2) Im of those coherences.  A sector state is
+    Hermitian exactly when its y is real, and a generator block B maps
+    Hermitian states to Hermitian states, so R = T^H B T is real.
     """
-    first, second = _T_ROWS
-    columns = (blocks[..., :, first] * _T_COEFFICIENTS[0]
-               + blocks[..., :, second] * _T_COEFFICIENTS[1])
-    return (_T_COEFFICIENTS[0].conj()[:, None] * columns[..., first, :]
-            + _T_COEFFICIENTS[1].conj()[:, None] * columns[..., second, :])
+    row, col = np.divmod(SECTOR_ENTRIES, 9)
+    upper = np.flatnonzero(row < col)
+    lower = np.searchsorted(SECTOR_ENTRIES, 9 * col[upper] + row[upper])
+    half = math.sqrt(0.5)
+    basis = np.zeros((19, 19), dtype=complex)
+    basis[row == col, :_POPULATIONS] = np.eye(_POPULATIONS)
+    basis[upper, np.arange(9, 14)] = basis[lower, np.arange(9, 14)] = half
+    basis[upper, np.arange(14, 19)] = 1j * half
+    basis[lower, np.arange(14, 19)] = -1j * half
+    return basis
 
 
-# The positions of the 64 nonzero entries of the flattened real block
-# R = T^H B_0 T, the real basis (7, 64) on them, and its 17 distinct
-# columns up to sign, from which R is assembled.
-_REAL_ENTRIES, _REAL_BASIS = _nonzero_columns(_hermitian_form(_K0_BLOCKS).real.reshape(7, -1))
-_REAL_DISTINCT, _REAL_INDEX, _REAL_SIGN = _distinct_columns(_REAL_BASIS)
+_HERMITIAN_BASIS = _hermitian_basis()
+
+# T^H B T of each basis block, flattened to (7, 361).  einsum sums in a
+# fixed order, where a BLAS product at import could depend on the BLAS build
+# and its thread count.  Its imaginary part is zero; R is assembled from
+# the 64 entries, at _REAL_ENTRIES, that are nonzero in some basis block:
+# every other entry of R is zero at every point.
+_REAL_FORM = np.einsum("ki,jkl,lm->jim", _HERMITIAN_BASIS.conj(), _K0_BLOCKS,
+                       _HERMITIAN_BASIS).real.reshape(7, -1)
+_REAL_ENTRIES = np.flatnonzero(np.any(_REAL_FORM != 0.0, axis=0))
+_REAL_BASIS = _REAL_FORM[:, _REAL_ENTRIES]
 
 # Bounds on sigma_2 of the k = 0 block, which must reach both
 # UNIQUE_RATE_TOL times the sum of the four rates, a scale that neither the
@@ -351,8 +310,8 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
     alone; a point that is refused or fails does not affect the others.
     LAPACK fails a whole stack when one member fails (a singular matrix,
     say), so such a stack is solved again in halves until the failure is
-    pinned on its point.  A point whose k = 0 block, complex or real,
-    overflows to non-finite entries is refused before any LAPACK call.  An
+    pinned on its point.  A point whose real k = 0 block R overflows to
+    non-finite entries is refused before any LAPACK call.  An
     empty stack gives empty arrays.  See steady_state for the method.
     """
     weights = as_weights(points)
@@ -379,19 +338,15 @@ def _real_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """The real k = 0 block entries of a stack of points, from their (n, 7) weights.
 
     Returns the 64 entries of _REAL_BASIS, (n, 64), combined elementwise
-    as in build_generator (a zero may differ in its sign); whether every
-    entry of the complex k = 0 block B_0 of a point is finite; and the
-    largest magnitude of B_0.  The last two are taken from B_0's entries
-    combined as in build_generator, so they are bitwise those of its block.
-    omega_ref does not enter either block.
+    as in build_generator; whether all of a point's entries are finite; and
+    their largest magnitude max|R|.  The steady path forms no complex
+    block.  omega_ref does not enter R.
     """
     # Finite parameters near the float maximum overflow the block; the
     # caller refuses such points before LAPACK sees them.
     with np.errstate(over="ignore", invalid="ignore"):
-        complex_entries = _combine(weights, _K0_DISTINCT)
-        entries = _combine(weights, _REAL_DISTINCT)[:, _REAL_INDEX] * _REAL_SIGN
-    return (entries, np.all(np.isfinite(complex_entries), axis=-1),
-            np.max(np.abs(complex_entries), axis=-1))
+        entries = _combine(weights, _REAL_BASIS)
+    return entries, np.all(np.isfinite(entries), axis=-1), np.max(np.abs(entries), axis=-1)
 
 
 def _real_block(entries: np.ndarray) -> np.ndarray:
@@ -429,7 +384,7 @@ def _conditioning_certified(block: np.ndarray, scale: np.ndarray,
     """Whether every point of the stack provably passes the conditioning test.
 
     block is the real k = 0 block R = T^H B_0 T (n, 19, 19) of finite
-    points, which has the singular values of B_0; scale is max|B_0| and
+    points, which has the singular values of B_0; scale is max|R| and
     rates the sum of each point's four rates.  The test asks sigma_2(R) >=
     max(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * sigma_1(R)); tau is
     that bound with ||R||_F >= sigma_1 in its place.  sigma_2 >= 2 tau is
@@ -463,11 +418,8 @@ def _conditioning_certified(block: np.ndarray, scale: np.ndarray,
 
 
 def _solve_stack(weights: np.ndarray) -> SteadyStates:
-    entries, finite, gen_scale = _real_entries(weights)
+    entries, finite, max_entry = _real_entries(weights)
     structural = _structurally_unique(weights)
-    # R can exceed max|B_0| by a factor of up to 2, so it may overflow where
-    # B_0 does not; such a point is refused as an overflow too.
-    finite &= np.all(np.isfinite(entries), axis=-1)
 
     errors: list[Exception | None] = [None] * len(weights)
     for i in np.flatnonzero(~finite):
@@ -479,7 +431,7 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
         errors[i] = _structural_refusal(weights[i])
     candidate = finite & structural
     block = _real_block(entries[candidate])
-    scale = gen_scale[candidate]
+    scale = max_entry[candidate]
     rates = np.sum(weights[candidate, :4], axis=-1)
     if not _conditioning_certified(block, scale, rates):
         # The test itself, from the singular values of the k = 0 block.
@@ -558,12 +510,13 @@ def steady_state(
     [0]*10, right-hand side (1, 0, ..., 0); y is divided by its population
     sum and x = T y is Hermitian by construction; every other sector of
     rho is zero.  The residual ||R y|| = ||B_0 x|| is checked against
-    tolerance 1e-10 (1 + max|B_0|), and the density-matrix checks take the
+    tolerance 1e-10 (1 + max|R|), and the density-matrix checks take the
     lowest eigenvalue from the nine eigenvalues of the blocks of rho in M =
     m_A + m_B (operators.m_block_eigensystem); a point that fails both
-    reports the residual.  A point whose B_0 or R overflows to non-finite
-    entries is refused with ValueError.  This is steady_states on a stack
-    of one point, whose 19 entries are laid out as the 9x9 matrix here.
+    reports the residual.  No complex block is formed: a point whose R
+    overflows to non-finite entries is refused with ValueError.  This is
+    steady_states on a stack of one point, whose 19 entries are laid out as
+    the 9x9 matrix here.
     """
     batch = steady_states([params])
     if batch.errors[0] is not None:
@@ -618,8 +571,8 @@ def evolve(
     the step; the actual step evenly divides the sampling interval.  A trace
     drift beyond 1e-6 or a norm blow-up aborts with IntegrationStepError.
     """
-    if t_max < 0.0:
-        raise ValueError("t_max must be >= 0")
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError("t_max must be finite and >= 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     validate_density_matrix(rho0, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ FIG2_CONFIG = {
     "delta": 0.0,
 }
 BALANCED_CONFIG = {"epsilon": 0.1}
+# Subprocesses import the package from where this process found it.
+PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(spinsync.__file__).resolve().parent.parent)}
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -202,6 +205,7 @@ class TestArgumentErrors:
             [sys.executable, "-m", "spinsync.cli", "--help"],
             capture_output=True,
             text=True,
+            env=PACKAGE_ENV,
         )
         assert proc.returncode == 0
         assert "spinsync" in proc.stdout
@@ -217,17 +221,43 @@ def test_runs_on_numpy_alone(tmp_path):
         f"assert main(['steady', '--config', {config!r}, '--out', 'state.json']) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    package_root = Path(spinsync.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(package_root)},
+        env=PACKAGE_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "state.json").exists()
+
+
+def test_sweep_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # The same 11 x 11 sweep and default balanced cut, run in processes
+    # with one and with two OpenBLAS threads, write the same bytes.
+    fig2 = write_json(tmp_path, FIG2_CONFIG)
+    balanced = write_json(tmp_path, BALANCED_CONFIG, name="balanced.json")
+    outputs = {}
+    for threads in ("1", "2"):
+        sweep_csv, cut_csv = tmp_path / f"sweep-{threads}.csv", tmp_path / f"cut-{threads}.csv"
+        script = (
+            "from spinsync.cli import main\n"
+            f"assert main(['sweep', '--config', {fig2!r}, '--eps-steps', '11',"
+            f" '--delta-steps', '11', '--out', {str(sweep_csv)!r}]) == 0\n"
+            f"assert main(['scan-balanced', '--config', {balanced!r},"
+            f" '--out', {str(cut_csv)!r}]) == 0\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**PACKAGE_ENV, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = (sweep_csv.read_bytes(), cut_csv.read_bytes())
+    assert outputs["1"] == outputs["2"]
+    assert [len(out.splitlines()) for out in outputs["1"]] == [1 + 121, 1 + 101]
 
 
 class TestSweepCommands:
@@ -330,9 +360,34 @@ class TestDynamicsCommand:
 
     def test_rejects_negative_horizon(self, tmp_path, capsys):
         cfg = write_json(tmp_path, BALANCED_CONFIG)
-        argv = ["dynamics", "--config", cfg, "--t-max", "-1.0", "--out", str(tmp_path / "x.csv")]
-        assert main(argv) == 1
-        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "x.csv"
+        for t_max in ("-1.0", "inf", "nan"):
+            argv = ["dynamics", "--config", cfg, "--t-max", t_max, "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 1
+            assert capsys.readouterr().err == "error: t_max must be finite and >= 0\n"
+            assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("steady", []),
+        ("sweep", ["--eps-steps", "2", "--delta-steps", "2"]),
+        ("scan-balanced", ["--steps", "2"]),
+        ("dynamics", ["--t-max", "1.0", "--samples", "2"]),
+    ],
+)
+def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, command, flags):
+    # An --out under a missing directory is reported on one line, exit 1.
+    cfg = write_json(tmp_path, BALANCED_CONFIG)
+    out = tmp_path / "missing" / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
 
 
 class TestRegressCommand:

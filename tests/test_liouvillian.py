@@ -125,6 +125,33 @@ K0 = [i for i in range(81) if excitation_difference(i) == 0]
 EPS = np.finfo(float).eps
 
 
+def pair_summed_form(blocks: np.ndarray) -> np.ndarray:
+    """T^H B T of k = 0 blocks B (..., 19, 19), each entry summed in conjugate pairs.
+
+    Column j of T holds first_coefficient[j] at sector position first[j]
+    and second_coefficient[j] at second[j]: a population alone (its second
+    coefficient is 0), then the sqrt(2) real and imaginary parts of the
+    upper coherences, conjugate on a coherence and on its adjoint.  For a
+    block with B[P a, P b] = conj(B[a, b]), P the swap of rho_rc and rho_cr,
+    as every generator block satisfies bit for bit, each entry of the
+    result is z + conj(z), so its imaginary part is exactly zero.
+    """
+    row, col = np.divmod(np.array(K0), 9)
+    position = {index: j for j, index in enumerate(K0)}
+    populations = np.flatnonzero(row == col)
+    upper = np.flatnonzero(row < col)
+    lower = np.array([position[9 * c + r] for r, c in zip(row[upper], col[upper])])
+    first = np.concatenate([populations, upper, upper])
+    second = np.concatenate([populations, lower, lower])
+    half = math.sqrt(0.5)
+    first_coefficient = np.array([1.0] * 9 + [half] * 5 + [1j * half] * 5)
+    second_coefficient = np.array([0.0] * 9 + [half] * 5 + [-1j * half] * 5)
+    columns = (blocks[..., :, first] * first_coefficient
+               + blocks[..., :, second] * second_coefficient)
+    return (first_coefficient.conj()[:, None] * columns[..., first, :]
+            + second_coefficient.conj()[:, None] * columns[..., second, :])
+
+
 def k0_singular_values(params: SystemParams) -> np.ndarray:
     """Singular values of the complex k = 0 block B_0, cut from the dense generator."""
     return np.linalg.svd(build_generator(params)[np.ix_(K0, K0)], compute_uv=False)
@@ -483,25 +510,28 @@ class TestExcitationSectors:
 
     def test_real_basis_has_exactly_zero_imaginary_part(self):
         # T^H B T of each basis block, summed in conjugate pairs, is real
-        # bit for bit; its nonzero entries are _REAL_BASIS, and its 17
-        # distinct columns give them all back.
-        sector = EXCITATION_SECTORS[0]
-        form = liouvillian._hermitian_form(liouvillian._BASIS[:, sector][:, :, sector])
+        # bit for bit.  The engine's einsum of the same product has its real
+        # part bit for bit and an imaginary part within a few eps, and
+        # _REAL_BASIS is that real part on its 64 nonzero columns.
+        blocks = liouvillian._BASIS[:, K0][:, :, K0]
+        form = pair_summed_form(blocks)
         assert np.all(form.imag == 0.0)
+        t = liouvillian._HERMITIAN_BASIS
+        product = np.einsum("ki,jkl,lm->jim", t.conj(), blocks, t)
+        assert product.real.tobytes() == form.real.tobytes()
+        assert np.max(np.abs(product.imag)) <= 4 * EPS * np.max(np.abs(form.real))
         flat = form.real.reshape(7, -1)
         entries = liouvillian._REAL_ENTRIES
+        assert np.count_nonzero(np.any(flat != 0.0, axis=0)) == 64
         assert liouvillian._REAL_BASIS.shape == (7, 64) == flat[:, entries].shape
-        assert np.array_equal(flat[:, entries], liouvillian._REAL_BASIS)
+        assert liouvillian._REAL_BASIS.tobytes() == flat[:, entries].tobytes()
         assert not np.any(np.delete(flat, entries, axis=1))
-        distinct = liouvillian._REAL_DISTINCT[:, liouvillian._REAL_INDEX]
-        assert np.array_equal(distinct * liouvillian._REAL_SIGN, liouvillian._REAL_BASIS)
 
     def test_real_block_is_the_generator_block_in_hermitian_coordinates(self):
         # The stack mixes signs of delta and omega_ref, a zero rate and
         # FIG2.  R matches T^H B_0 T of build_generator's k = 0 block to a
-        # few ulps of max|B_0|, has B_0's singular values, and its entries
-        # are those of _combine over the whole real basis; max|B_0| is
-        # bitwise that of the block.
+        # few ulps of max|B_0| and has B_0's singular values; the scale is
+        # max|R|, bitwise.
         points = [
             FIG2,
             SystemParams(gamma_g_a=0.3, gamma_d_b=7.0, epsilon=0.2, delta=-0.8,
@@ -513,36 +543,42 @@ class TestExcitationSectors:
         weights = np.array([_weights(p) for p in points], dtype=float)
         entries, finite, scale = _real_entries(weights)
         assert entries.shape == (5, 64) and np.all(finite)
-        # Equal values; a zero may differ in its sign.
-        assert np.array_equal(entries, liouvillian._combine(weights, liouvillian._REAL_BASIS))
         block = _real_block(entries)
         assert block.dtype == np.float64
         t = liouvillian._HERMITIAN_BASIS
         for i, params in enumerate(points):
+            assert scale[i].tobytes() == np.max(np.abs(block[i])).tobytes()
             k0 = build_generator(params)[np.ix_(K0, K0)]
-            assert scale[i] == np.max(np.abs(k0))
-            assert np.max(np.abs(block[i] - t.conj().T @ k0 @ t)) <= 4 * EPS * scale[i]
+            k0_scale = np.max(np.abs(k0))
+            assert np.max(np.abs(block[i] - t.conj().T @ k0 @ t)) <= 4 * EPS * k0_scale
             assert np.max(np.abs(np.linalg.svd(block[i], compute_uv=False)
-                                 - np.linalg.svd(k0, compute_uv=False))) <= 50 * EPS * scale[i]
+                                 - np.linalg.svd(k0, compute_uv=False))) <= 50 * EPS * k0_scale
 
     def test_scale_and_overflow_mask_from_the_assembled_entries(self):
-        # max|B_0| and finiteness are those of the k = 0 block of the whole
-        # generator, bit for bit.  omega_ref does not enter that block, so
-        # omega_ref = -1.7e308 is finite there, and so is the last point,
-        # near the float maximum.
+        # The mask from R's entries alone refuses every point whose k = 0
+        # block B_0 of the whole generator overflows: it equals
+        # isfinite(B_0) & isfinite(R).  omega_ref does not enter either
+        # block, so omega_ref = -1.7e308 is finite there; the last named
+        # point has a finite B_0 and an overflowing R.  The seeded batch
+        # draws every weight near the float maximum, a third of them zero.
         rng = np.random.default_rng(5150)
         points = [wide_range_params(rng) for _ in range(500)] + [
             SystemParams(delta=1e308), SystemParams(omega_ref=-1.7e308),
             SystemParams(gamma_g_a=1e308, delta=1e308),
             SystemParams(epsilon=1.7e308, gamma_d_b=1e308),
         ]
-        _, finite, scale = _real_entries(np.array([_weights(p) for p in points]))
+        near = rng.uniform(0.1, 1.79, (2000, 7)) * 1e308
+        near[:, 5:] *= rng.choice([-1.0, 1.0], (2000, 2))
+        near[rng.random((2000, 7)) < 1 / 3] = 0.0
+        near[:, 1] = np.maximum(near[:, 1], 1.0)
+        points += [SystemParams(*w) for w in near.tolist()]
+        entries, finite, _ = _real_entries(np.array([_weights(p) for p in points]))
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = [build_generator(p)[np.ix_(K0, K0)] for p in points]
-        assert finite.tolist() == [bool(np.all(np.isfinite(b))) for b in blocks]
-        assert np.all(finite[:500]) and finite[500:].tolist() == [False, True, False, True]
-        for i in np.flatnonzero(finite):
-            assert scale[i].tobytes() == np.max(np.abs(blocks[i])).tobytes()
+            complex_finite = np.array([np.all(np.isfinite(build_generator(p)[np.ix_(K0, K0)]))
+                                       for p in points])
+        assert finite.tolist() == (complex_finite & np.all(np.isfinite(entries), axis=-1)).tolist()
+        assert np.all(finite[:500]) and finite[500:504].tolist() == [False, True, False, False]
+        assert 0 < np.count_nonzero(finite[504:]) < np.count_nonzero(complex_finite[504:]) < 2000
 
     def test_overflowing_point_is_refused_with_its_text(self):
         batch = steady_states([SystemParams(delta=1e308), FIG2])
@@ -556,8 +592,10 @@ class TestExcitationSectors:
         # max|R| can reach twice max|B_0|: here B_0 is finite and R is not,
         # and LAPACK never sees the point.
         params = SystemParams(epsilon=1.7e308, gamma_d_b=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isfinite(build_generator(params)[np.ix_(K0, K0)]))
         entries, finite, _ = _real_entries(np.array([_weights(params)]))
-        assert finite[0] and not np.all(np.isfinite(entries))
+        assert not finite[0] and not np.all(np.isfinite(entries))
         batch = steady_states([params, FIG2])
         assert repr(batch.errors[0]) == (
             "ValueError('generator has non-finite entries: the parameters "
@@ -890,10 +928,9 @@ class TestKernelCertificate:
 
     def test_one_cholesky_and_one_solve_per_tongue_chunk(self, monkeypatch):
         # A 121-point tongue is one chunk.  The steady path assembles only
-        # k = 0 entries: the 19 distinct columns of the complex block, for
-        # max|B_0| and the overflow mask, and the 17 distinct columns of the
-        # real block.  It factors one real float64 stack, solves one, and
-        # takes no SVD.
+        # the 64 nonzero entries of the real k = 0 block, in one combine of
+        # the real basis, and no complex block.  It factors one real float64
+        # stack, solves one, and takes no SVD.
         weights = sweep._grid(FIG2, epsilon=np.linspace(0.0, 0.1, 11),
                               delta=np.linspace(-1.0, 1.0, 11))
         calls = {}
@@ -917,7 +954,7 @@ class TestKernelCertificate:
         monkeypatch.setattr(liouvillian, "_combine", recording_combine)
         records = sweep._run_points(weights, QuadratureSpec()).records()
         assert all(r.status == "ok" for r in records)
-        assert assembled == [((7, 19), np.complex128), ((7, 17), np.float64)]
+        assert assembled == [((7, 64), np.float64)]
         stack = [((121, 19, 19), np.float64)]
         assert calls == {"cholesky": stack, "solve": stack, "svd": []}
 
