@@ -98,6 +98,9 @@ def _divide(numerator: float, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarra
     return out_re, out_im
 
 
+# Rates near the float maximum overflow to inf, silently as in the
+# single-point functions' Python arithmetic; the steady solve refuses them.
+@np.errstate(over="ignore", invalid="ignore")
 def peak_and_negativity_first_order(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steady s_rel_peak_first_order and negativity_first_order of a stack.
 

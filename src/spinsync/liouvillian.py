@@ -24,17 +24,16 @@ unitary (the coherence-vector form: Alicki and Lendi, Quantum Dynamical
 Semigroups and Applications, Springer 1987).  The steady path forms no
 complex block: it assembles R from its 64 nonzero entries, takes the
 overflow check and the scale max|R| from them, and works in these real
-coordinates y = T^H x throughout.  Whether the steady state
-is unique depends only on which channels are on: it is when all four
-rates are positive, or when the exchange and at least one gain are.  A
-point that passes this rule must also be solvable in double precision:
-the second-smallest singular value of the k = 0 block, which R shares
-with B_0, must reach UNIQUE_RATE_TOL times the sum of the rates and
-UNIQUE_ROUNDING_TOL times the block's largest singular value.  A Cholesky
-factorization of a shifted Gram matrix proves this for most stacks, and
-the block's SVD decides only on a stack that it cannot clear.  The state
-is then one real square solve of R, its redundant first population row
-replaced by the trace row; x = T y is Hermitian by construction.
+coordinates y = T^H x throughout.  Whether the steady state is unique
+depends only on which channels are on: it is when all four rates are
+positive, or when the exchange and at least one gain are.  Then the
+populations of |+1,+1> and |-1,-1> only decay, and the state spans the
+kernel of the 17x17 block of the other coordinates; with its first
+population row replaced by the trace row, one inverse X of that system
+gives the state from its first column and, verified in the style of Rump,
+a certified bound on its error against the exact generator's state; a
+point is accepted when the verification holds and the bound is at most
+STATE_TOL.  x = T y is Hermitian by construction.
 steady_states solves a stack of points with stacked LAPACK calls and
 returns each state as its 19 k = 0 entries, with the spectrum of its
 blocks in M = m_A + m_B, which the density-matrix checks and the measures
@@ -127,11 +126,6 @@ def _commutator_super(ham: np.ndarray) -> np.ndarray:
 def _dissipator_super(op: np.ndarray) -> np.ndarray:
     odo = op.conj().T @ op
     return np.kron(op, op.conj()) - 0.5 * (_left(odo) + _right(odo))
-
-
-def trace_row(dim: int = 9) -> np.ndarray:
-    """Row vector t with t @ vec(rho) = Tr rho."""
-    return np.eye(dim, dtype=complex).reshape(-1)
 
 
 def _basis_superoperators() -> np.ndarray:
@@ -245,12 +239,29 @@ _REAL_FORM = np.einsum("ki,jkl,lm->jim", _HERMITIAN_BASIS.conj(), _K0_BLOCKS,
 _REAL_ENTRIES = np.flatnonzero(np.any(_REAL_FORM != 0.0, axis=0))
 _REAL_BASIS = _REAL_FORM[:, _REAL_ENTRIES]
 
-# Bounds on sigma_2 of the k = 0 block, which must reach both
-# UNIQUE_RATE_TOL times the sum of the four rates, a scale that neither the
-# detuning nor omega_ref inflates, and UNIQUE_ROUNDING_TOL times its largest
-# singular value, far above the rounding error of its SVD.
-UNIQUE_RATE_TOL = 1e-9
-UNIQUE_ROUNDING_TOL = 1e3 * np.finfo(float).eps
+# Rows 0 and 8 of R hold only -(gamma_d_a + gamma_d_b) and -(gamma_g_a +
+# gamma_g_b) on their diagonal, negative wherever the structural rule holds,
+# so the populations y[0] and y[8] vanish in the steady state.  It lives in
+# the recurrent class of the other 17 coordinates (Baumgartner and
+# Narnhofer, Rev. Math. Phys. 24, 1250001 (2012)), whose block R_rr holds
+# 58 of the 64 entries, _RECURRENT_FROM, at its flat positions _RECURRENT_AT.
+_RECURRENT = np.setdiff1d(np.arange(19), (0, _POPULATIONS - 1))
+_RECURRENT_POPULATIONS = _POPULATIONS - 2
+_RECURRENT_AT, _RECURRENT_FROM = np.intersect1d(
+    np.arange(19 * 19).reshape(19, 19)[np.ix_(_RECURRENT, _RECURRENT)], _REAL_ENTRIES,
+    return_indices=True)[1:]
+
+STATE_TOL = 1e-8
+"""Largest certified error max|y - y_exact| of an accepted steady state."""
+
+# gamma covers, relative to the absolute values of the terms, the roundings
+# of assembling S, each entry at most four same-signed terms of a basis
+# within 2 eps of exact (4 eps), of X S and S y (17 eps), and of the bounds'
+# row sums and products (34 eps): twice these first-order bounds (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3).
+_GAMMA = 128 * np.finfo(float).eps
+
+_NOT_UNIQUE = "steady state is not unique to double precision: "
 
 
 @dataclass(frozen=True)
@@ -259,18 +270,20 @@ class SteadyStates:
 
     errors[i] is None when point i has a unique steady state, held by its
     19 k = 0 entries sectors[i] (see operators.SECTOR_ENTRIES), with
-    residual residuals[i].  Otherwise errors[i] is the exception
-    steady_state raises for that point, sectors[i] is zero and
-    residuals[i] is nan.  eigenvalues (n, 9), pair_ratios (n, 2) and
-    center_vectors (n, 3, 3) are operators.m_block_eigensystem of each
-    state: its whole spectrum, by blocks in M = m_A + m_B, the Schmidt
-    ratios of its 2x2 blocks and the eigenvectors of its 3x3 block, which
-    the density-matrix checks and the measures share.  They are zero for a
-    refused point.
+    residual residuals[i] and certified error error_bounds[i], a bound on
+    max|y - y_exact| against the state of the exact generator.  Otherwise
+    errors[i] is the exception steady_state raises for that point,
+    sectors[i] is zero and residuals[i] and error_bounds[i] are nan.
+    eigenvalues (n, 9), pair_ratios (n, 2) and center_vectors (n, 3, 3)
+    are operators.m_block_eigensystem of each state: its whole spectrum,
+    by blocks in M = m_A + m_B, the Schmidt ratios of its 2x2 blocks and
+    the eigenvectors of its 3x3 block, which the density-matrix checks and
+    the measures share.  They are zero for a refused point.
     """
 
     sectors: np.ndarray = field(repr=False)
     residuals: np.ndarray
+    error_bounds: np.ndarray
     errors: tuple[Exception | None, ...]
     eigenvalues: np.ndarray = field(repr=False)
     pair_ratios: np.ndarray = field(repr=False)
@@ -310,28 +323,27 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
     alone; a point that is refused or fails does not affect the others.
     LAPACK fails a whole stack when one member fails (a singular matrix,
     say), so such a stack is solved again in halves until the failure is
-    pinned on its point.  A point whose real k = 0 block R overflows to
-    non-finite entries is refused before any LAPACK call.  An
-    empty stack gives empty arrays.  See steady_state for the method.
+    pinned on its point, which is refused.  A point whose real k = 0 block
+    R overflows to non-finite entries is refused before any LAPACK call.
+    An empty stack gives empty arrays.  See steady_state for the method.
     """
     weights = as_weights(points)
     try:
         return _solve_stack(weights)
     except np.linalg.LinAlgError as exc:
         if len(weights) == 1:
+            # Only the inverse raises: eigh sees verified, finite states.
+            error = NonUniqueSteadyStateError(
+                f"{_NOT_UNIQUE}its recurrent block has no inverse to verify ({exc})")
             return SteadyStates(np.zeros((1, 19), dtype=complex), np.full(1, np.nan),
-                                (exc,), np.zeros((1, 9)),
+                                np.full(1, np.nan), (error,), np.zeros((1, 9)),
                                 np.zeros((1, 2)), np.zeros((1, 3, 3), dtype=complex))
         halves = [steady_states(weights[:len(weights) // 2]),
                   steady_states(weights[len(weights) // 2:])]
-        return SteadyStates(
-            np.concatenate([h.sectors for h in halves]),
-            np.concatenate([h.residuals for h in halves]),
-            halves[0].errors + halves[1].errors,
-            np.concatenate([h.eigenvalues for h in halves]),
-            np.concatenate([h.pair_ratios for h in halves]),
-            np.concatenate([h.center_vectors for h in halves]),
-        )
+        return SteadyStates(*[
+            halves[0].errors + halves[1].errors if f.name == "errors"
+            else np.concatenate([getattr(h, f.name) for h in halves])
+            for f in fields(SteadyStates)])
 
 
 def _real_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,13 +359,6 @@ def _real_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         entries = _combine(weights, _REAL_BASIS)
     return entries, np.all(np.isfinite(entries), axis=-1), np.max(np.abs(entries), axis=-1)
-
-
-def _real_block(entries: np.ndarray) -> np.ndarray:
-    """The real k = 0 block R (n, 19, 19) of a stack from its _real_entries."""
-    flat = np.zeros((len(entries), 19 * 19))
-    flat[:, _REAL_ENTRIES] = entries
-    return flat.reshape(-1, 19, 19)
 
 
 def _structurally_unique(weights: np.ndarray) -> np.ndarray:
@@ -379,42 +384,53 @@ def _structural_refusal(weights: np.ndarray) -> NonUniqueSteadyStateError:
     return NonUniqueSteadyStateError(f"steady state is not unique: {reason}")
 
 
-def _conditioning_certified(block: np.ndarray, scale: np.ndarray,
-                            rates: np.ndarray) -> bool:
-    """Whether every point of the stack provably passes the conditioning test.
+def _verified_states(entries: np.ndarray, scale: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve and verify the recurrent blocks R_rr of a stack from its _real_entries.
 
-    block is the real k = 0 block R = T^H B_0 T (n, 19, 19) of finite
-    points, which has the singular values of B_0; scale is max|R| and
-    rates the sum of each point's four rates.  The test asks sigma_2(R) >=
-    max(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * sigma_1(R)); tau is
-    that bound with ||R||_F >= sigma_1 in its place.  sigma_2 >= 2 tau is
-    proven, far beyond the SVD's own error of about d^2 eps sigma_1, so a
-    certified point passes the SVD test as well.  A Cholesky factorization
-    of G - s I that succeeds proves lambda_min(G) > s up to its rounding,
-    with G = R^T R + c^2 t t^T, t the trace row [1]*9 + [0]*10 and c =
-    scale; a rank-one lift cannot raise the smallest eigenvalue past the
-    second one, so lambda_min(G) <= sigma_2^2.  The shift s = (2 tau)^2 +
-    2 (d + 2) eps tr(G) holds twice the first-order rounding bounds of the
-    Gram product and of the factorization (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., ch. 10).  False means unproven, not
-    refused.
+    The population rows of R_rr sum to zero, so the first is redundant:
+    S is R_rr with c times the trace row [1]*7 + [0]*10 in its place, c =
+    scale = max|R|, so that no row of S is small beside the others, and
+    the state y solves S y = c e_0.  With X = inv(S), y = c X e_0 and r =
+    S y - c e_0 its computed residual, and gamma = _GAMMA,
+
+        e = max |fl(X S) - I| 1 + gamma |X| (|S| 1)
+
+    bounds ||I - X S_exact||_inf for the exact S of the point, so e < 1
+    proves S_exact nonsingular, and
+
+        bound = max |X| (|r| + gamma (|S| |y| + c e_0)) / (1 - e)
+
+    bounds max|y - y_exact| (Rump, Acta Numerica 19, 287 (2010)).
+    Returns y (n, 17), R_rr y (n, 17), e and bound, which are not finite
+    where X is not.
     """
-    n, dim = block.shape[:2]
-    # Overflowing Gram entries or shifts fail the factorization or make its
-    # factor non-finite, which only sends the stack to the SVD.
+    flat = np.zeros((len(entries), 17 * 17))
+    flat[:, _RECURRENT_AT] = entries[:, _RECURRENT_FROM]
+    recurrent = flat.reshape(-1, 17, 17)
+    square = recurrent.copy()
+    square[:, 0, :_RECURRENT_POPULATIONS] = scale[:, None]
+    square[:, 0, _RECURRENT_POPULATIONS:] = 0.0
+    inverse = np.linalg.inv(square)
+    y = scale[:, None] * inverse[:, :, 0]
+    # A nearly singular S may give X overflowing entries, which the
+    # verification refuses.  Row sums are matrix-vector products.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(block, -1, -2) @ block
-        diagonal = gram.reshape(n, dim * dim)[:, ::dim + 1]
-        frobenius = np.sqrt(np.sum(diagonal, axis=-1))
-        tau = np.maximum(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * frobenius)
-        gram[:, :_POPULATIONS, :_POPULATIONS] += (scale ** 2)[:, None, None]
-        trace = np.sum(diagonal, axis=-1)
-        diagonal -= ((2.0 * tau) ** 2 + 2 * (dim + 2) * np.finfo(float).eps * trace)[:, None]
-        try:
-            factor = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return False
-        return bool(np.isfinite(factor.sum()))
+        # R_rr y serves the residual check and, with its first row
+        # replaced by the trace, the residual r of the bound.
+        image = (recurrent @ y[..., None])[..., 0]
+        residual = image.copy()
+        residual[:, 0] = scale * np.sum(y[:, :_RECURRENT_POPULATIONS], axis=-1) - scale
+        # |S| 1 and |r| + gamma (|S| |y| + c e_0), then |X| times both.
+        terms = np.abs(square) @ np.stack([np.ones_like(y), np.abs(y)], axis=-1)
+        terms[..., 1] = np.abs(residual) + _GAMMA * terms[..., 1]
+        terms[:, 0, 1] += _GAMMA * scale
+        weighted = np.abs(inverse) @ terms
+        defect = inverse @ square
+        defect.reshape(-1, 17 * 17)[:, ::18] -= 1.0
+        e = np.max(np.abs(defect) @ np.ones(17) + _GAMMA * weighted[..., 0], axis=-1)
+        bound = np.max(weighted[..., 1], axis=-1) / (1.0 - e)
+    return y, image, e, bound
 
 
 def _solve_stack(weights: np.ndarray) -> SteadyStates:
@@ -423,71 +439,59 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
 
     errors: list[Exception | None] = [None] * len(weights)
     for i in np.flatnonzero(~finite):
-        errors[i] = ValueError(
-            "generator has non-finite entries: the parameters overflow "
-            "double precision"
-        )
+        errors[i] = ValueError("generator has non-finite entries: the parameters "
+                               "overflow double precision")
     for i in np.flatnonzero(finite & ~structural):
         errors[i] = _structural_refusal(weights[i])
-    candidate = finite & structural
-    block = _real_block(entries[candidate])
-    scale = max_entry[candidate]
-    rates = np.sum(weights[candidate, :4], axis=-1)
-    if not _conditioning_certified(block, scale, rates):
-        # The test itself, from the singular values of the k = 0 block.
-        singular = np.linalg.svd(block, compute_uv=False)
-        bound = np.maximum(UNIQUE_RATE_TOL * rates, UNIQUE_ROUNDING_TOL * singular[:, 0])
-        conditioned = singular[:, -2] >= bound
-        for j, i in enumerate(np.flatnonzero(candidate)):
-            if not conditioned[j]:
-                errors[i] = NonUniqueSteadyStateError(
-                    "steady state is not unique to double precision: "
-                    f"sigma_2 {singular[j, -2]:.3e} of the k = 0 block is below "
-                    f"{bound[j]:.3e}"
-                )
-        block, scale = block[conditioned], scale[conditioned]
-    unique = np.array([e is None for e in errors], dtype=bool)
+    candidate = np.flatnonzero(finite & structural)
+    y, image, contraction, bound = _verified_states(entries[candidate], max_entry[candidate])
+    # Written so that a nan contraction or bound is refused too.  The checks
+    # below see a refused point as the zero state.
+    verified = contraction < 1.0
+    refused = ~(verified & (bound <= STATE_TOL))
+    y[refused] = image[refused] = 0.0
 
-    # Trace preservation makes the nine population rows of R sum to zero,
-    # so the first, <+1,+1|rho|+1,+1>, is redundant: the trace row takes its
-    # place and the system becomes square.
-    square = block.copy()
-    square[:, 0, :_POPULATIONS] = 1.0
-    square[:, 0, _POPULATIONS:] = 0.0
-    rhs = np.zeros((len(square), 19, 1))
-    rhs[:, 0] = 1.0
-    y = np.linalg.solve(square, rhs)[..., 0]
-    y = y / np.sum(y[:, :_POPULATIONS], axis=-1, keepdims=True)
-    # Hermitian by construction: each coherence and its adjoint are formed
-    # from the same two real coordinates.
-    x = y @ _HERMITIAN_BASIS.T
+    # The transient populations y[0] and y[8] are exactly zero.
+    full = np.zeros((len(y), 19))
+    full[:, _RECURRENT] = y
+    # Hermitian by construction, from the same two real coordinates for a
+    # coherence and its adjoint.  Each part of an entry has one nonzero term,
+    # so BLAS can only pick the sign of a zero; adding 0.0 makes it +0.
+    x = full @ _HERMITIAN_BASIS.T + 0.0
 
-    residual = np.linalg.norm((block @ y[..., None])[..., 0], axis=-1)
-    tol = 1e-10 * (1.0 + scale)
+    # ||R y|| over all 64 entries of R: rows 0 and 8 and columns 0 and 8
+    # meet only the zero transient populations.
+    residual = np.linalg.norm(image, axis=-1)
+    tol = 1e-10 * (1.0 + max_entry[candidate])
     spectra = m_block_eigensystem(x)
     # The whole stack is checked at once, and an exception is built only
-    # for a point that fails; the residual is reported first.  Written so
-    # that a nan residual is refused too.
+    # for a point that fails; the verification is reported first, then
+    # the residual.  Written so that a nan residual is refused too.
     failed = sector_state_errors(x, spectra[0])
     for j in (~(residual <= tol)).nonzero()[0].tolist():
         failed[j] = LinearSolveError(
             f"steady-state residual {residual[j]:.3e} exceeds {tol[j]:.3e}",
             float(residual[j]),
         )
-    rows = unique.nonzero()[0]
+    for j in refused.nonzero()[0].tolist():
+        failed[j] = NonUniqueSteadyStateError(
+            f"{_NOT_UNIQUE}the inverse of its recurrent block fails verification, "
+            f"||I - X S|| <= {contraction[j]:.3e} is not below 1" if not verified[j] else
+            f"{_NOT_UNIQUE}certified error {bound[j]:.3e} exceeds STATE_TOL = {STATE_TOL:g}"
+        )
     for j, error in failed.items():
-        errors[rows[j]] = error
+        errors[candidate[j]] = error
 
     solved = np.array([e is None for e in errors], dtype=bool)
-    kept = solved[unique]
+    kept = solved[candidate]
 
     def scatter(values: np.ndarray, fill: float) -> np.ndarray:
         out = np.full((len(weights),) + values.shape[1:], fill, dtype=values.dtype)
         out[solved] = values[kept]
         return out
 
-    return SteadyStates(scatter(x, 0.0), scatter(residual, np.nan), tuple(errors),
-                        *[scatter(values, 0.0) for values in spectra])
+    return SteadyStates(scatter(x, 0.0), scatter(residual, np.nan), scatter(bound, np.nan),
+                        tuple(errors), *[scatter(values, 0.0) for values in spectra])
 
 
 def steady_state(
@@ -496,27 +500,19 @@ def steady_state(
     """Unique steady state of the generator, as a valid 9x9 density matrix.
 
     NonUniqueSteadyStateError refuses a point whose zero parameters leave a
-    larger kernel: both gains zero, or no exchange and another rate zero.
-    The message names them.  It also refuses a point whose k = 0 block B_0
-    has sigma_2 below max(UNIQUE_RATE_TOL * (gamma_g_a + gamma_d_a +
-    gamma_g_b + gamma_d_b), UNIQUE_ROUNDING_TOL * sigma_1), printing sigma_2
-    and that bound.  All of this runs on the real block R = T^H B_0 T of
-    the Hermitian coordinates y = T^H x (see the module docstring), which
-    has the singular values of B_0.  A Cholesky certificate (see
-    _conditioning_certified) proves the bound for most stacks, and the SVD
-    of R decides for the others.  The state is solved in the
-    19-dimensional k = 0 sector as one real square system: R with its
-    first, redundant population row replaced by the trace row [1]*9 +
-    [0]*10, right-hand side (1, 0, ..., 0); y is divided by its population
-    sum and x = T y is Hermitian by construction; every other sector of
-    rho is zero.  The residual ||R y|| = ||B_0 x|| is checked against
-    tolerance 1e-10 (1 + max|R|), and the density-matrix checks take the
-    lowest eigenvalue from the nine eigenvalues of the blocks of rho in M =
-    m_A + m_B (operators.m_block_eigensystem); a point that fails both
-    reports the residual.  No complex block is formed: a point whose R
-    overflows to non-finite entries is refused with ValueError.  This is
-    steady_states on a stack of one point, whose 19 entries are laid out as
-    the 9x9 matrix here.
+    larger kernel, naming them: both gains zero, or no exchange and another
+    rate zero.  Its text starts "steady state is not unique to double
+    precision: " for a point whose square recurrent system S (see the
+    module docstring) has no inverse, whose inverse X fails the
+    verification ||I - X S|| < 1, or whose certified error exceeds
+    STATE_TOL (see _verified_states).  The residual ||R y|| = ||B_0 x|| is
+    checked against tolerance 1e-10 (1 + max|R|), and the density-matrix
+    checks take the lowest eigenvalue from the nine eigenvalues of the
+    blocks of rho in M = m_A + m_B (operators.m_block_eigensystem); a
+    point that fails both reports the residual.  A point whose R overflows
+    to non-finite entries is refused with ValueError.  This is
+    steady_states on a stack of one point, whose 19 entries are laid out
+    as the 9x9 matrix here; every other sector of rho is zero.
     """
     batch = steady_states([params])
     if batch.errors[0] is not None:

@@ -95,6 +95,19 @@ class TestSteady:
         assert main(["steady", "--config", cfg]) == 2
         assert "steady solve failed" in capsys.readouterr().err
 
+    def test_overflowing_rates_print_only_the_failure(self, tmp_path):
+        # Rates near the float maximum overflow the oracle's decay rates
+        # and the generator.  In a process with the default warning
+        # filters, stderr holds the failure line and no RuntimeWarning.
+        cfg = write_json(tmp_path, {"gamma_g_a": 1e308, "gamma_d_a": 1e308, "gamma_g_b": 1e308,
+                                    "gamma_d_b": 1e308, "epsilon": 1.0})
+        proc = subprocess.run([sys.executable, "-m", "spinsync.cli", "steady", "--config", cfg],
+                              capture_output=True, text=True, env=PACKAGE_ENV)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "steady solve failed: solve: generator has non-finite entries: the parameters "
+            "overflow double precision\n")
+
 
 class TestConfigHandling:
     def test_missing_file(self, tmp_path, capsys):

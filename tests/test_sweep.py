@@ -135,26 +135,31 @@ class TestChunkIsolation:
         assert "non-finite" in err
         assert "DLASCL" not in out + err
 
-    def test_singular_solve_is_pinned_on_its_point(self, monkeypatch):
+    def test_singular_inverse_is_pinned_on_its_point(self, monkeypatch):
         # LAPACK fails the whole stack for one singular member; make the
-        # square k = 0 system of the point with delta = 0.777 singular.  It
-        # is recognized by the rows below the trace row, those of its real
-        # block.
-        solve = np.linalg.solve
+        # square recurrent system of the point with delta = 0.777 singular.
+        # It is recognized by the rows below the trace row, those of its
+        # recurrent block.  The point is refused as not unique to double
+        # precision, and the others keep their records.
+        inv = np.linalg.inv
         points = [*self.POINTS, dataclasses.replace(FIG2, delta=0.777),
                   dataclasses.replace(FIG2, delta=0.5)]
         entries = liouvillian._real_entries(liouvillian.as_weights(points[3:4]))[0]
-        singular = liouvillian._real_block(entries)[0, 1:]
+        singular = np.zeros(17 * 17)
+        singular[liouvillian._RECURRENT_AT] = entries[0, liouvillian._RECURRENT_FROM]
+        singular = singular.reshape(17, 17)[1:]
 
-        def failing_solve(a, b):
+        def failing_inv(a):
             if np.any(np.all(a[:, 1:] == singular, axis=(-2, -1))):
                 raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
+            return inv(a)
 
         clean = sweep._run_points(points, QuadratureSpec()).records()
-        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        monkeypatch.setattr(np.linalg, "inv", failing_inv)
         records = sweep._run_points(points, QuadratureSpec()).records()
-        assert records[3].status == "solve: Singular matrix"
+        assert records[3].status == (
+            "solve: steady state is not unique to double precision: its recurrent "
+            "block has no inverse to verify (Singular matrix)")
         assert records[3].schmidt_rank == 0 and math.isnan(records[3].max_s_rel)
         for i in (0, 1, 2, 4):
             assert same_record(records[i], clean[i])
