@@ -1,9 +1,9 @@
 """Command-line surface: steady points, sweeps, cuts, dynamics, regression.
 
 Exit codes: 0 on success, 1 for bad arguments or config or an output file
-that cannot be written, 2 when the steady solver fails on a single-point
-run.  Sweep runs always exit 0 and record per-point failures in the CSV
-status column.
+that cannot be written, 2 when the steady solver refuses a single-point
+run (an undefined first-order oracle alone exits 0).  Sweep runs always
+exit 0 and record per-point failures in the CSV status column.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _steady_json(record: SweepRecord, rho: np.ndarray) -> str:
 def _cmd_steady(args) -> int:
     params, quad = load_config(args.config)
     record, rho = evaluate_point(params, quad)
-    if record.status != "ok" or rho is None:
+    if rho is None:
         print(f"steady solve failed: {record.status}", file=sys.stderr)
         return 2
     text = _steady_json(record, rho)

@@ -6,18 +6,19 @@ mu_minus = <-1,+1|mu|0,0>.  Each obeys a scalar ODE with constant drive
 (+1 and -1 respectively) and a complex decay rate, solved here in closed
 form.  These coherences give the synchronization amplitude, a negativity
 estimate, and a pure-state approximation of the steady state, all used as
-independent cross-checks of the full numerics.
-
-Pass STEADY (or omit the time) for the long-time limit.
+independent cross-checks of the full numerics.  first_order_stack
+evaluates them for a stack of points, and the other functions are views
+of it.  Pass STEADY (or omit the time) for the long-time limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .liouvillian import SystemParams
+from .liouvillian import SystemParams, as_weights
 from .operators import PAIR_DIM, joint_index
 
 # 9*pi/128: overlap coefficient turning the coherence sum into the peak of
@@ -37,29 +38,66 @@ class CoherencePair:
     mu_minus: complex
 
 
+class FirstOrderStack(NamedTuple):
+    """The closed forms of a stack; defined is False where a decay rate vanishes."""
+
+    lam_plus: np.ndarray
+    lam_minus: np.ndarray
+    mu_plus: np.ndarray
+    mu_minus: np.ndarray
+    s_rel_peak: np.ndarray
+    negativity: np.ndarray
+    defined: np.ndarray
+
+
+# Rates near the float maximum overflow and a vanishing rate divides by
+# zero, both silently: the steady solve refuses the first, defined marks
+# the second.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def first_order_stack(weights: np.ndarray, t: complex | np.ndarray | None = STEADY
+                      ) -> FirstOrderStack:
+    """Decay rates, coherences, S_rel peak and negativity of (n, 7) weights.
+
+    weights holds one point a row in SystemParams field order, and t, a
+    real or complex time or an array of times, broadcasts against them.
+    The coherences solve mu_plus' = 1 - lam_plus*mu_plus and mu_minus' =
+    -1 - lam_minus*mu_minus from 0; t=STEADY gives their limits 1/lam_plus
+    and -1/lam_minus.  The peak over phi is SREL_COEFF*epsilon*|mu_plus +
+    conj(mu_minus)|, the negativity epsilon*(|mu_plus| + |mu_minus|).
+    """
+    gamma_g_a, gamma_d_a, gamma_g_b, gamma_d_b, epsilon, delta = weights.T[:6]
+    lam_plus = 0.5 * (gamma_d_a + gamma_g_b) + 1j * delta
+    lam_minus = 0.5 * (gamma_g_a + gamma_d_b) - 1j * delta
+    if t is STEADY:
+        mu_plus, mu_minus = 1.0 / lam_plus, -1.0 / lam_minus
+    else:
+        mu_plus = (1.0 - np.exp(-lam_plus * t)) / lam_plus
+        mu_minus = -(1.0 - np.exp(-lam_minus * t)) / lam_minus
+    return FirstOrderStack(
+        lam_plus, lam_minus, mu_plus, mu_minus,
+        SREL_COEFF * epsilon * np.abs(mu_plus + np.conj(mu_minus)),
+        epsilon * (np.abs(mu_plus) + np.abs(mu_minus)),
+        (lam_plus != 0) & (lam_minus != 0),
+    )
+
+
+def _one_point(params: SystemParams, t: complex | None) -> FirstOrderStack:
+    stack = first_order_stack(as_weights([params]), t)
+    if not stack.defined[0]:
+        raise ValueError(NO_STEADY_STATE)
+    return stack
+
+
 def decay_rates(params: SystemParams) -> tuple[complex, complex]:
     """Complex decay rates of the two driven coherences."""
-    lam_plus = 0.5 * (params.gamma_d_a + params.gamma_g_b) + 1j * params.delta
-    lam_minus = 0.5 * (params.gamma_g_a + params.gamma_d_b) - 1j * params.delta
-    return lam_plus, lam_minus
+    stack = first_order_stack(as_weights([params]))
+    return complex(stack.lam_plus[0]), complex(stack.lam_minus[0])
 
 
-def coherences(params: SystemParams, t: float | None = STEADY) -> CoherencePair:
-    """Solve mu_plus' = 1 - lam_plus*mu_plus, mu_minus' = -1 - lam_minus*mu_minus.
-
-    Both start from 0; t=STEADY returns the long-time limits 1/lam_plus and
-    -1/lam_minus.  A vanishing decay rate leaves no steady state and is
-    rejected outright.
-    """
-    lam_plus, lam_minus = decay_rates(params)
-    if lam_plus == 0 or lam_minus == 0:
-        raise ValueError(NO_STEADY_STATE)
-    if t is STEADY:
-        return CoherencePair(mu_plus=1.0 / lam_plus, mu_minus=-1.0 / lam_minus)
-    return CoherencePair(
-        mu_plus=(1.0 - np.exp(-lam_plus * t)) / lam_plus,
-        mu_minus=-(1.0 - np.exp(-lam_minus * t)) / lam_minus,
-    )
+def coherences(params: SystemParams, t: complex | None = STEADY) -> CoherencePair:
+    """The driven coherences at time t; a vanishing decay rate is refused at every t."""
+    stack = _one_point(params, t)
+    return CoherencePair(complex(stack.mu_plus[0]), complex(stack.mu_minus[0]))
 
 
 def s_rel_first_order(
@@ -73,55 +111,25 @@ def s_rel_first_order(
 
 def s_rel_peak_first_order(params: SystemParams, t: float | None = STEADY) -> float:
     """First-order peak over phi, SREL_COEFF*epsilon*|mu_plus + conj(mu_minus)|."""
-    mu = coherences(params, t)
-    return float(SREL_COEFF * params.epsilon * abs(mu.mu_plus + np.conj(mu.mu_minus)))
+    return float(_one_point(params, t).s_rel_peak[0])
 
 
 def negativity_first_order(params: SystemParams, t: float | None = STEADY) -> float:
     """First-order negativity epsilon*(|mu_plus| + |mu_minus|)."""
-    mu = coherences(params, t)
-    return params.epsilon * (abs(mu.mu_plus) + abs(mu.mu_minus))
+    return float(_one_point(params, t).negativity[0])
 
 
-def _divide(numerator: float, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # numerator / (re + i im) elementwise, by Smith's algorithm written as
-    # Python's complex division writes it, so each value has the bits that
-    # coherences gives it.  Both branches are computed and one is kept.
-    by_re = np.abs(re) >= np.abs(im)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio_re, ratio_im = im / re, re / im
-        denom_re, denom_im = re + im * ratio_re, re * ratio_im + im
-        out_re = np.where(by_re, (numerator + 0.0 * ratio_re) / denom_re,
-                          (numerator * ratio_im + 0.0) / denom_im)
-        out_im = np.where(by_re, (0.0 - numerator * ratio_re) / denom_re,
-                          (0.0 * ratio_im - numerator) / denom_im)
-    return out_re, out_im
-
-
-# Rates near the float maximum overflow to inf, silently as in the
-# single-point functions' Python arithmetic; the steady solve refuses them.
-@np.errstate(over="ignore", invalid="ignore")
 def peak_and_negativity_first_order(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steady s_rel_peak_first_order and negativity_first_order of a stack.
 
     weights is (n, 7), one row per point in SystemParams field order.
-    Returns the two values (n, 2), bitwise those of the single-point
-    functions, and a mask (n) of the points where they are defined; where a
-    decay rate vanishes (NO_STEADY_STATE) the values are nan.
+    Returns the two values (n, 2), nan where a decay rate vanishes
+    (NO_STEADY_STATE), and a mask (n) of the points where they are defined.
     """
-    gamma_g_a, gamma_d_a, gamma_g_b, gamma_d_b, epsilon, delta = weights.T[:6]
-    # decay_rates, with lam_minus's imaginary part 0 - delta as Python
-    # forms it.
-    plus = 0.5 * (gamma_d_a + gamma_g_b), delta
-    minus = 0.5 * (gamma_g_a + gamma_d_b), 0.0 - delta
-    defined = ((plus[0] != 0.0) | (plus[1] != 0.0)) & ((minus[0] != 0.0) | (minus[1] != 0.0))
-    mu_plus, mu_minus = _divide(1.0, *plus), _divide(-1.0, *minus)
-    values = np.stack([
-        SREL_COEFF * epsilon * np.hypot(mu_plus[0] + mu_minus[0], mu_plus[1] - mu_minus[1]),
-        epsilon * (np.hypot(*mu_plus) + np.hypot(*mu_minus)),
-    ], axis=-1)
-    values[~defined] = np.nan
-    return values, defined
+    stack = first_order_stack(weights)
+    values = np.stack([stack.s_rel_peak, stack.negativity], axis=-1)
+    values[~stack.defined] = np.nan
+    return values, stack.defined
 
 
 def first_order_state(params: SystemParams, t: float | None = STEADY) -> np.ndarray:

@@ -460,8 +460,10 @@ def _solve_stack(weights: np.ndarray) -> SteadyStates:
     x = full @ _HERMITIAN_BASIS.T + 0.0
 
     # ||R y|| over all 64 entries of R: rows 0 and 8 and columns 0 and 8
-    # meet only the zero transient populations.
-    residual = np.linalg.norm(image, axis=-1)
+    # meet only the zero transient populations.  Scaled exactly by the
+    # power of two of max|R|, the entries' squares cannot overflow.
+    exponent = np.frexp(max_entry[candidate])[1]
+    residual = np.ldexp(np.linalg.norm(np.ldexp(image, -exponent[:, None]), axis=-1), exponent)
     tol = 1e-10 * (1.0 + max_entry[candidate])
     spectra = m_block_eigensystem(x)
     # The whole stack is checked at once, and an exception is built only

@@ -20,7 +20,7 @@ the other points.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple
@@ -35,8 +35,8 @@ from .correlations import (
 )
 from .first_order import (
     NO_STEADY_STATE,
+    first_order_stack,
     peak_and_negativity_first_order,
-    s_rel_peak_first_order,
 )
 from .liouvillian import (
     SteadyStates,
@@ -48,12 +48,6 @@ from .liouvillian import (
 )
 from .operators import SECTOR_ENTRIES, joint_index
 from .phasespace import QuadratureSpec, max_s_rel_stack, sector_s_rel
-
-SWEEP_CSV_HEADER = (
-    "epsilon,delta,max_s_rel,phi_at_max,negativity,mutual_info,purity,"
-    "schmidt_rank,s_rel_fo,negativity_fo,residual,status"
-)
-DYNAMICS_CSV_HEADER = "t,s_rel_peak,s_rel_peak_oracle,negativity,trace_error"
 
 
 @dataclass(frozen=True)
@@ -96,6 +90,20 @@ class DynamicsRow:
     trace_error: float
 
 
+# Each CSV file's columns are the fields of its record type, in order, each
+# written in the format of its type: 12 significant digits for a float.
+_FORMATS = {"float": "%.12g", "int": "%d", "str": "%s"}
+
+
+def _csv_schema(record_type) -> tuple[str, str]:
+    """The header and the row template of a record type's CSV file."""
+    columns = fields(record_type)
+    return ",".join(f.name for f in columns), ",".join(_FORMATS[f.type] for f in columns)
+
+
+SWEEP_CSV_HEADER = _csv_schema(SweepRecord)[0]
+DYNAMICS_CSV_HEADER = _csv_schema(DynamicsRow)[0]
+
 # Points solved and measured together: a 121-point tongue is one stack.
 # On the default 101x101 sweep and the 101-point balanced scan, 128 was
 # faster than 64 and 256; larger chunks hold more memory at once.
@@ -105,27 +113,28 @@ _FIELDS = [f.name for f in fields(SystemParams)]
 
 # The SweepRecord fields, which are also the sweep CSV columns, in order.
 _RECORD_FIELDS = [f.name for f in fields(SweepRecord)]
-_RANK = _RECORD_FIELDS.index("schmidt_rank")
-_RESIDUAL = _RECORD_FIELDS.index("residual")
 
 
 class _SweepTable(NamedTuple):
     """Evaluated points as columns.
 
-    values (n, 11) holds every SweepRecord field but status, in field
-    order, the Schmidt rank as a float; statuses holds the status texts.
+    columns holds one array per SweepRecord field but status, in field
+    order; statuses holds the status texts.
     """
 
-    values: np.ndarray
+    columns: tuple[np.ndarray, ...]
     statuses: list[str]
 
+    def rows(self) -> Iterator[tuple]:
+        """Each point's SweepRecord field values, in field order."""
+        return zip(*[c.tolist() for c in self.columns], self.statuses)
+
     def records(self) -> list[SweepRecord]:
-        return [SweepRecord(*row[:_RANK], int(row[_RANK]), *row[_RANK + 1:], status)
-                for row, status in zip(self.values.tolist(), self.statuses)]
+        return [SweepRecord(*row) for row in self.rows()]
 
     def write(self, path) -> None:
         """Write the table as write_sweep_csv writes its records."""
-        _write_sweep_rows(self.values.tolist(), self.statuses, path)
+        _write_csv(SweepRecord, self.rows(), path)
 
 
 def _evaluate_chunk(
@@ -142,24 +151,27 @@ def _evaluate_chunk(
     phi_at_max, peak = max_s_rel_stack(sector_s_rel(x, quad))
     ranks = sector_schmidt(eigenvalues, batch.pair_ratios[solved],
                            batch.center_vectors[solved])[1]
-    # One row per SweepRecord field but status.  The measures of a refused
-    # point are nan and its Schmidt rank is 0.
-    columns = np.full((_RESIDUAL + 1, len(weights)), math.nan)
-    columns[:2] = weights[:, 4:6].T
-    columns[_RANK] = 0.0
-    columns[2:_RANK + 1, solved] = (
-        peak, phi_at_max, sector_negativity(x),
-        sector_mutual_information(x, eigenvalues), sector_purity(x), ranks,
-    )
-    columns[_RANK + 1:_RESIDUAL] = oracle.T
-    columns[_RESIDUAL, solved] = batch.residuals[solved]
+    # The measures of a refused point are nan and its Schmidt rank is 0;
+    # its residual is nan already.
+    columns = {"epsilon": weights[:, _FIELDS.index("epsilon")],
+               "delta": weights[:, _FIELDS.index("delta")],
+               "s_rel_fo": oracle[:, 0], "negativity_fo": oracle[:, 1],
+               "residual": batch.residuals}
+    for name, values in {"max_s_rel": peak, "phi_at_max": phi_at_max,
+                         "negativity": sector_negativity(x),
+                         "mutual_info": sector_mutual_information(x, eigenvalues),
+                         "purity": sector_purity(x), "schmidt_rank": ranks}.items():
+        columns[name] = np.full(len(weights), 0 if name == "schmidt_rank" else math.nan,
+                                dtype=values.dtype)
+        columns[name][solved] = values
     statuses = ["ok"] * len(weights)
     for i in np.flatnonzero(~(defined & solved)):
         messages = [] if defined[i] else [f"oracle: {NO_STEADY_STATE}"]
         if batch.errors[i] is not None:
             messages.append(f"solve: {batch.errors[i]}")
         statuses[i] = "; ".join(messages)
-    return _SweepTable(columns.T, statuses), batch
+    return _SweepTable(tuple(columns[name] for name in _RECORD_FIELDS if name != "status"),
+                       statuses), batch
 
 
 def evaluate_point(
@@ -265,7 +277,7 @@ def _run_points(
     # One table per chunk, joined; no points make one empty chunk.
     chunks = [_evaluate_chunk(points[start:start + CHUNK_SIZE], quad)[0]
               for start in range(0, max(len(points), 1), CHUNK_SIZE)]
-    return _SweepTable(np.concatenate([c.values for c in chunks]),
+    return _SweepTable(tuple(map(np.concatenate, zip(*[c.columns for c in chunks]))),
                        [status for c in chunks for status in c.statuses])
 
 
@@ -299,17 +311,11 @@ def dynamics_trace(
     x = flat[:, SECTOR_ENTRIES]
     peaks = max_s_rel_stack(sector_s_rel(x, quad))[1]
     negativities = sector_negativity(x)
-    return [
-        DynamicsRow(
-            t=float(t),
-            s_rel_peak=float(peak),
-            s_rel_peak_oracle=s_rel_peak_first_order(params, float(t)),
-            negativity=float(neg),
-            trace_error=float(drift),
-        )
-        for t, peak, neg, drift in zip(traj.times, peaks, negativities,
-                                       traj.trace_errors)
-    ]
+    oracle = first_order_stack(as_weights([params]), traj.times)
+    if not oracle.defined[0]:
+        raise ValueError(NO_STEADY_STATE)
+    columns = (traj.times, peaks, oracle.s_rel_peak, negativities, traj.trace_errors)
+    return [DynamicsRow(*row) for row in zip(*[c.tolist() for c in columns])]
 
 
 def linear_regression(xs, ys) -> RegressionResult:
@@ -340,45 +346,27 @@ def linear_regression(xs, ys) -> RegressionResult:
     )
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % value
+def _write_csv(record_type, rows: Iterable[Sequence], path) -> None:
+    """Write rows of a record type's field values, in field order, as CSV.
 
-
-# The sweep row template: 12 significant digits for every float.
-_SWEEP_ROW = ",".join(["%.12g"] * _RANK + ["%d"] + ["%.12g"] * 3 + ["%s"])
-
-
-def _sanitize(status: str) -> str:
-    return status.replace(",", ";").replace("\n", " ")
-
-
-def _write_sweep_rows(values: list[Sequence], statuses: list[str], path) -> None:
-    # values holds each row's SweepRecord fields but status, in order.  The
-    # whole body is one format of the row template repeated.
-    items = []
-    for row, status in zip(values, statuses):
-        items += row
-        items.append(_sanitize(status))
-    lines = [SWEEP_CSV_HEADER]
-    if statuses:
-        lines.append("\n".join([_SWEEP_ROW] * len(statuses)) % tuple(items))
+    Commas and newlines in text fields become semicolons and spaces.
+    """
+    header, template = _csv_schema(record_type)
+    kinds = [f.type for f in fields(record_type)]
+    items = [value for row in rows for value in row]
+    for j in [j for j, kind in enumerate(kinds) if kind == "str"]:
+        items[j::len(kinds)] = [text.replace(",", ";").replace("\n", " ")
+                                for text in items[j::len(kinds)]]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + "".join([template + "\n"] * (len(items) // len(kinds)))
+                 % tuple(items))
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
     """Write sweep records with the fixed column layout, 12 significant digits."""
-    numbers = attrgetter(*_RECORD_FIELDS[:-1])
-    _write_sweep_rows([numbers(r) for r in records], [r.status for r in records], path)
+    _write_csv(SweepRecord, map(attrgetter(*_RECORD_FIELDS), records), path)
 
 
 def write_dynamics_csv(rows: list[DynamicsRow], path) -> None:
     """Write a dynamics trace with the fixed column layout."""
-    lines = [DYNAMICS_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.t), _fmt(r.s_rel_peak), _fmt(r.s_rel_peak_oracle),
-            _fmt(r.negativity), _fmt(r.trace_error),
-        ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(DynamicsRow, map(attrgetter(*DYNAMICS_CSV_HEADER.split(",")), rows), path)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import spinsync
 from spinsync import SystemParams, negativity
 from spinsync import cli
 from spinsync.cli import build_parser, main
+from spinsync.first_order import NO_STEADY_STATE
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER, evaluate_point
 
 FIG2_CONFIG = {
@@ -94,6 +96,22 @@ class TestSteady:
         cfg = write_json(tmp_path, dict(BALANCED_CONFIG, gamma_g_a=0.0, gamma_g_b=0.0))
         assert main(["steady", "--config", cfg]) == 2
         assert "steady solve failed" in capsys.readouterr().err
+
+    def test_undefined_oracle_alone_exits_zero(self, tmp_path, capsys):
+        # delta = 0 and gamma_g_a = gamma_d_b = 0 make the oracle's lam_minus
+        # vanish, while the exchange and gamma_g_b leave one steady state:
+        # the state is written and the status names the oracle.
+        config = {"gamma_g_a": 0, "gamma_d_b": 0, "gamma_g_b": 1, "epsilon": 0.1}
+        cfg = write_json(tmp_path, config)
+        assert main(["steady", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        record = json.loads(captured.out)["record"]
+        assert record["status"] == f"oracle: {NO_STEADY_STATE}"
+        assert math.isnan(record["s_rel_fo"]) and math.isnan(record["negativity_fo"])
+        assert record["residual"] <= 1e-12 and record["schmidt_rank"] == 3
+        record, rho = evaluate_point(SystemParams(**config))
+        assert captured.out == self.oracle_json(record, rho) + "\n"
 
     def test_overflowing_rates_print_only_the_failure(self, tmp_path):
         # Rates near the float maximum overflow the oracle's decay rates

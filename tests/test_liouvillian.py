@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -657,6 +658,25 @@ class TestExcitationSectors:
             "ValueError('generator has non-finite entries: the parameters "
             "overflow double precision')")
         assert batch.errors[1] is None
+
+    def test_huge_uniform_rates_are_solved_or_refused_without_warnings(self):
+        # All four rates s and epsilon = 0.1 s.  From s = 1e171 on, the
+        # squares of R y's entries overflow, so the residual norm is taken
+        # on entries scaled by the power of two of max|R|.  A refusal may
+        # come only from the overflow mask or the verification, never from
+        # the residual.
+        scales = 10.0 ** np.arange(150.0, 301.0)
+        points = [SystemParams(s, s, s, s, 0.1 * s) for s in scales]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = steady_states(points)
+        for s, error, residual in zip(scales, batch.errors, batch.residuals):
+            if error is None:
+                assert np.isfinite(residual), s
+            else:
+                assert isinstance(error, (ValueError, NonUniqueSteadyStateError)), (s, error)
+                assert "overflow" in str(error) or "verification" in str(error) or (
+                    "certified error" in str(error)), (s, error)
 
     def test_huge_omega_ref_gives_the_omega_ref_zero_state(self):
         # The whole generator overflows at omega_ref = 1e308, its k = 0

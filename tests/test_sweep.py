@@ -18,6 +18,7 @@ from spinsync import (
     negativity,
     run_steady_point,
     s_rel_first_order,
+    s_rel_peak_first_order,
     schmidt_analysis,
     write_dynamics_csv,
     write_sweep_csv,
@@ -375,6 +376,24 @@ class TestDynamicsTrace:
         times = [row.t for row in fig2_dynamics]
         assert len(times) == 11
         assert_allclose(times, np.linspace(0.0, 5.0, 11), atol=1e-12)
+
+    def test_oracle_is_the_single_point_peak_bitwise(self, fig2_dynamics):
+        # The samples' oracles come from one stacked call over all times.
+        detuned = SystemParams(gamma_g_a=2.0, gamma_g_b=0.8, gamma_d_b=1.4,
+                               epsilon=0.08, delta=0.6)
+        for params, rows in ((FIG2, fig2_dynamics),
+                             (detuned, sweep.dynamics_trace(detuned, t_max=2.0, samples=5))):
+            for row in rows:
+                want = s_rel_peak_first_order(params, row.t)
+                assert np.float64(row.s_rel_peak_oracle).tobytes() == np.float64(want).tobytes()
+            assert rows[-1].s_rel_peak_oracle > 0.0
+
+    def test_undefined_oracle_raises(self):
+        # gamma_g_a = gamma_d_b = delta = 0 make lam_minus vanish; the
+        # state evolves, and the trace refuses the oracle.
+        params = SystemParams(gamma_g_a=0.0, gamma_d_b=0.0, epsilon=0.1)
+        with pytest.raises(ValueError, match=NO_STEADY_STATE):
+            sweep.dynamics_trace(params, t_max=0.01, samples=3)
 
 
 def record_lapack_calls(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
