@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 for bad arguments or config or an output file
 that cannot be written, 2 when the steady solver refuses a single-point
 run (an undefined first-order oracle alone exits 0).  Sweep runs always
 exit 0 and record per-point failures in the CSV status column.
+
+On success, sweep, scan-balanced and dynamics each write a one-line JSON
+summary of the run to stderr.  All JSON output is strict: a non-finite
+float is written as null.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -19,6 +25,7 @@ import numpy as np
 from .liouvillian import SystemParams
 from .phasespace import QuadratureSpec
 from .sweep import (
+    SWEEP_CSV_HEADER,
     SweepRecord,
     _arnold_table,
     _balanced_cut_table,
@@ -27,6 +34,10 @@ from .sweep import (
     linear_regression,
     write_dynamics_csv,
 )
+
+# A dynamics sample whose oracle peak is at most this is quiet: no relative
+# deviation is taken on it.
+_QUIET_ORACLE = 1e-12
 
 PARAM_KEYS = ("gamma_g_a", "gamma_d_a", "gamma_g_b", "gamma_d_b",
               "epsilon", "delta", "omega_ref")
@@ -109,6 +120,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(value):
+    """value with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def _strict_json(value, indent: int | None = None) -> str:
+    """value as strict JSON (RFC 8259): a non-finite float is written as null."""
+    return json.dumps(_finite(value), indent=indent, allow_nan=False)
+
+
+def _summary(**fields) -> None:
+    """Write a run's summary to stderr as one line of strict JSON."""
+    print(_strict_json(fields), file=sys.stderr)
+
+
+def _fit(x: np.ndarray, y: np.ndarray) -> dict:
+    """The regression of y on x as a dict, or the reason it is refused."""
+    try:
+        return asdict(linear_regression(x, y))
+    except ValueError as exc:
+        return {"error": str(exc)}
+
+
+# Where each SweepRecord field but status sits in _SweepTable.columns.
+_COLUMN = {name: j for j, name in enumerate(SWEEP_CSV_HEADER.split(","))}
+
+
+def _table_counts(table, start: float) -> tuple[np.ndarray, dict]:
+    """The mask of a table's ok rows, and its point and failure counts and time."""
+    ok = np.array([status == "ok" for status in table.statuses], dtype=bool)
+    return ok, {"points": len(ok), "failed": int(np.count_nonzero(~ok)),
+                "seconds": time.perf_counter() - start}
+
+
 # The "state" member of the steady JSON as json.dumps(..., indent=2) lays it
 # out: 81 [re, im] pairs, each number on its own line.
 _STATE_TEMPLATE = (
@@ -119,13 +170,13 @@ _STATE_TEMPLATE = (
 
 
 def _steady_json(record: SweepRecord, rho: np.ndarray) -> str:
-    """{"record": ..., "state": [[re, im], ...]} exactly as json.dumps(indent=2).
+    """{"record": ..., "state": [[re, im], ...]} exactly as _strict_json(indent=2).
 
     json.dumps with indent runs the pure-Python encoder, which is slow on
     the 162 state numbers; they are written from a fixed template instead.
     json writes a finite float as its repr, and a solved state is finite.
     """
-    head = json.dumps(asdict(record), indent=2).replace("\n", "\n  ")
+    head = _strict_json(asdict(record), indent=2).replace("\n", "\n  ")
     values = np.stack([rho.real, rho.imag], axis=-1).ravel().tolist()
     return '{\n  "record": ' + head + ',\n  "state": ' + _STATE_TEMPLATE.format(*values)
 
@@ -146,33 +197,54 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    start = time.perf_counter()
     params, quad = load_config(args.config)
     # Rows are written from the evaluated columns, with no SweepRecord
     # objects; the file is what write_sweep_csv(arnold_sweep(...)) writes.
-    _arnold_table(
+    table = _arnold_table(
         params,
         eps_range=(args.eps_min, args.eps_max),
         delta_range=(args.delta_min, args.delta_max),
         steps=(args.eps_steps, args.delta_steps),
         quad=quad,
-    ).write(args.out)
+    )
+    table.write(args.out)
+    ok, counts = _table_counts(table, start)
+    peaks = table.columns[_COLUMN["max_s_rel"]][ok]
+    _summary(**counts, fits={name: _fit(table.columns[_COLUMN[name]][ok], peaks)
+                             for name in ("negativity", "mutual_info")})
     return 0
 
 
 def _cmd_scan_balanced(args) -> int:
+    start = time.perf_counter()
     params, quad = load_config(args.config)
-    _balanced_cut_table(
+    table = _balanced_cut_table(
         params, ratio_range=(args.gdb_min, args.gdb_max), steps=args.steps,
         quad=quad,
-    ).write(args.out)
+    )
+    table.write(args.out)
+    ok, counts = _table_counts(table, start)
+    # The scan's own grid, walked over its ok rows.
+    gamma_d_b = np.geomspace(args.gdb_min, args.gdb_max, args.steps)[ok].tolist()
+    ranks = table.columns[_COLUMN["schmidt_rank"]][ok].tolist()
+    _summary(**counts, rank_drops=[
+        {"after_gamma_d_b": gamma_d_b[i - 1], "to_rank": ranks[i]}
+        for i in range(1, len(ranks)) if ranks[i] < ranks[i - 1]])
     return 0
 
 
 def _cmd_dynamics(args) -> int:
+    start = time.perf_counter()
     params, quad = load_config(args.config)
     rows = dynamics_trace(params, t_max=args.t_max, samples=args.samples,
                           quad=quad)
     write_dynamics_csv(rows, args.out)
+    # An undefined oracle is nan, which fails the comparison and is skipped.
+    deviations = [abs(row.s_rel_peak - row.s_rel_peak_oracle) / abs(row.s_rel_peak_oracle)
+                  for row in rows if abs(row.s_rel_peak_oracle) > _QUIET_ORACLE]
+    _summary(samples=len(rows), seconds=time.perf_counter() - start,
+             max_oracle_rel_dev=max(deviations, default=None))
     return 0
 
 
@@ -205,7 +277,7 @@ def _cmd_regress(args) -> int:
         print(f"non-numeric data in requested columns: {exc}", file=sys.stderr)
         return 1
     result = linear_regression(np.array(xs), np.array(ys))
-    print(json.dumps(asdict(result), indent=2))
+    print(_strict_json(asdict(result), indent=2))
     return 0
 
 

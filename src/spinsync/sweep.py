@@ -292,11 +292,11 @@ def dynamics_trace(
 
     The initial state is the product of the two stabilized m=0 states; each
     sampled state is scored by its relative-phase peak (with the transient
-    oracle peak alongside) and negativity.  The initial state lies in the
-    k = 0 sector and the generator never leaves it, so every entry of a
-    sample outside the sector is exactly zero; the samples are measured on
-    their 19 sector entries, and a nonzero entry outside raises
-    RuntimeError.
+    oracle peak alongside, nan where a decay rate of the oracle vanishes)
+    and negativity.  The initial state lies in the k = 0 sector and the
+    generator never leaves it, so every entry of a sample outside the
+    sector is exactly zero; the samples are measured on their 19 sector
+    entries, and a nonzero entry outside raises RuntimeError.
     """
     rho0 = np.zeros((9, 9), dtype=complex)
     rho0[joint_index(0, 0), joint_index(0, 0)] = 1.0
@@ -312,9 +312,8 @@ def dynamics_trace(
     peaks = max_s_rel_stack(sector_s_rel(x, quad))[1]
     negativities = sector_negativity(x)
     oracle = first_order_stack(as_weights([params]), traj.times)
-    if not oracle.defined[0]:
-        raise ValueError(NO_STEADY_STATE)
-    columns = (traj.times, peaks, oracle.s_rel_peak, negativities, traj.trace_errors)
+    oracle_peaks = oracle.s_rel_peak if oracle.defined[0] else np.full(len(x), math.nan)
+    columns = (traj.times, peaks, oracle_peaks, negativities, traj.trace_errors)
     return [DynamicsRow(*row) for row in zip(*[c.tolist() for c in columns])]
 
 

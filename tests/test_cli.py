@@ -39,6 +39,23 @@ def write_json(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 does."""
+    return json.loads(text, parse_constant=refuse_constant)
+
+
+def read_summary(capsys):
+    """The one-line JSON summary a successful run writes to stderr; stdout stays empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    return strict_loads(captured.err)
+
+
 class TestSteady:
     def test_prints_record_and_state(self, tmp_path, capsys):
         cfg = write_json(tmp_path, FIG2_CONFIG)
@@ -62,11 +79,13 @@ class TestSteady:
 
     @staticmethod
     def oracle_json(record, rho) -> str:
+        # A non-finite float of the record, an undefined oracle, is null.
         payload = {
-            "record": dataclasses.asdict(record),
+            "record": {key: None if isinstance(value, float) and not math.isfinite(value)
+                       else value for key, value in dataclasses.asdict(record).items()},
             "state": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)],
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     def test_output_is_json_dumps_byte_for_byte(self, tmp_path):
         cfg = write_json(tmp_path, FIG2_CONFIG)
@@ -106,9 +125,9 @@ class TestSteady:
         assert main(["steady", "--config", cfg]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        record = json.loads(captured.out)["record"]
+        record = strict_loads(captured.out)["record"]
         assert record["status"] == f"oracle: {NO_STEADY_STATE}"
-        assert math.isnan(record["s_rel_fo"]) and math.isnan(record["negativity_fo"])
+        assert record["s_rel_fo"] is None and record["negativity_fo"] is None
         assert record["residual"] <= 1e-12 and record["schmidt_rank"] == 3
         record, rho = evaluate_point(SystemParams(**config))
         assert captured.out == self.oracle_json(record, rho) + "\n"
@@ -389,6 +408,18 @@ class TestDynamicsCommand:
         assert lines[0] == DYNAMICS_CSV_HEADER
         assert len(lines) == 6
 
+    def test_undefined_oracle_writes_nan_and_exits_zero(self, tmp_path, capsys):
+        # gamma_g_a = gamma_d_b = delta = 0 make the oracle's lam_minus vanish.
+        config = {"gamma_g_a": 0, "gamma_d_b": 0, "epsilon": 0.1}
+        out = tmp_path / "dyn.csv"
+        argv = ["dynamics", "--config", write_json(tmp_path, config), "--t-max", "0.05",
+                "--samples", "3", "--out", str(out)]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["s_rel_peak_oracle"] for row in rows] == ["nan"] * 3
+        summary = read_summary(capsys)
+        assert summary["samples"] == 3 and summary["max_oracle_rel_dev"] is None
+
     def test_rejects_negative_horizon(self, tmp_path, capsys):
         cfg = write_json(tmp_path, BALANCED_CONFIG)
         out = tmp_path / "x.csv"
@@ -421,6 +452,88 @@ def test_unwritable_out_path_is_an_error_line(tmp_path, capsys, command, flags):
     assert captured.err.count("\n") == 1 and str(out) in captured.err
 
 
+class TestRunSummaries:
+    """sweep, scan-balanced and dynamics summarize each run on stderr."""
+
+    def test_sweep_fits_its_ok_rows(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, FIG2_CONFIG)
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "sweep.csv"),
+                "--eps-steps", "3", "--delta-steps", "3"]
+        assert main(argv) == 0
+        summary = read_summary(capsys)
+        assert list(summary) == ["points", "failed", "seconds", "fits"]
+        assert summary["points"] == 9 and summary["failed"] == 0
+        assert summary["seconds"] > 0.0
+        ok = [r for r in spinsync.arnold_sweep(SystemParams(**FIG2_CONFIG), steps=(3, 3))
+              if r.status == "ok"]
+        peaks = [r.max_s_rel for r in ok]
+        assert summary["fits"] == {
+            "negativity": dataclasses.asdict(
+                spinsync.linear_regression([r.negativity for r in ok], peaks)),
+            "mutual_info": dataclasses.asdict(
+                spinsync.linear_regression([r.mutual_info for r in ok], peaks)),
+        }
+
+    @pytest.mark.parametrize("config, flags, failed, error", [
+        ({"gamma_g_a": 0, "gamma_g_b": 0, "epsilon": 0.1}, [], 9, "need at least 2 points"),
+        (FIG2_CONFIG, ["--eps-min", "0", "--eps-max", "0"], 0,
+         "degenerate regression: xs are all equal"),
+    ], ids=["all-refused", "uncoupled"])
+    def test_refused_fit_is_reported(self, tmp_path, capsys, config, flags, failed, error):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", write_json(tmp_path, config), "--out", str(out),
+                "--eps-steps", "3", "--delta-steps", "3", *flags]
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 1 + 9
+        summary = read_summary(capsys)
+        assert summary["points"] == 9 and summary["failed"] == failed
+        assert summary["fits"] == {"negativity": {"error": error},
+                                   "mutual_info": {"error": error}}
+
+    def test_scan_balanced_rank_drop(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, BALANCED_CONFIG)
+        argv = ["scan-balanced", "--config", cfg, "--out", str(tmp_path / "cut.csv"),
+                "--steps", "3"]
+        assert main(argv) == 0
+        summary = read_summary(capsys)
+        assert list(summary) == ["points", "failed", "seconds", "rank_drops"]
+        assert summary["points"] == 3 and summary["failed"] == 0
+        # The grid is 1, sqrt(199), 199: rank 3, 3, 2.
+        (drop,) = summary["rank_drops"]
+        assert drop == {"after_gamma_d_b": float(np.geomspace(1.0, 199.0, 3)[1]), "to_rank": 2}
+        assert round(drop["after_gamma_d_b"], 1) == 14.1
+
+    def test_dynamics_oracle_deviation(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, FIG2_CONFIG)
+        argv = ["dynamics", "--config", cfg, "--t-max", "0.05", "--samples", "3",
+                "--out", str(tmp_path / "dyn.csv")]
+        assert main(argv) == 0
+        summary = read_summary(capsys)
+        assert list(summary) == ["samples", "seconds", "max_oracle_rel_dev"]
+        assert summary["samples"] == 3
+        # The sample at t = 0 is quiet, its oracle peak 0; the other two count.
+        rows = spinsync.dynamics_trace(SystemParams(**FIG2_CONFIG), t_max=0.05, samples=3)
+        assert rows[0].s_rel_peak_oracle == 0.0
+        assert summary["max_oracle_rel_dev"] == max(
+            abs(r.s_rel_peak - r.s_rel_peak_oracle) / r.s_rel_peak_oracle for r in rows[1:])
+        assert 0.0 < summary["max_oracle_rel_dev"] < 0.05
+
+    def test_summary_line_of_the_module_entry_point(self, tmp_path):
+        cfg = write_json(tmp_path, FIG2_CONFIG)
+        out = tmp_path / "sweep.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinsync.cli", "sweep", "--config", cfg,
+             "--out", str(out), "--eps-steps", "2", "--delta-steps", "2"],
+            capture_output=True, text=True, env=PACKAGE_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        summary = strict_loads(line)
+        assert summary["points"] == 4 and summary["failed"] == 0
+        assert summary["fits"]["negativity"]["n_points"] == 4
+        assert len(out.read_text().splitlines()) == 1 + 4
+
+
 class TestRegressCommand:
     @pytest.fixture
     def sweep_csv(self, tmp_path):
@@ -439,6 +552,15 @@ class TestRegressCommand:
         assert set(result) == {"slope", "intercept", "r_squared", "n_points", "degenerate_variance"}
         assert result["n_points"] == 6
         assert result["slope"] > 0.0
+
+    def test_non_finite_fit_is_null(self, sweep_csv, capsys, monkeypatch):
+        fit = spinsync.RegressionResult(slope=math.nan, intercept=math.inf, r_squared=0.5,
+                                        n_points=6)
+        monkeypatch.setattr(cli, "linear_regression", lambda xs, ys: fit)
+        assert main(["regress", "--in", sweep_csv, "--x", "epsilon", "--y", "negativity"]) == 0
+        result = strict_loads(capsys.readouterr().out)
+        assert result["slope"] is None and result["intercept"] is None
+        assert result["r_squared"] == 0.5
 
     def test_missing_column(self, sweep_csv, capsys):
         assert main(["regress", "--in", sweep_csv, "--x", "epsilon", "--y", "nope"]) == 1

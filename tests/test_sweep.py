@@ -14,9 +14,12 @@ from spinsync import (
     SystemParams,
     arnold_sweep,
     balanced_cut_scan,
+    evolve,
     linear_regression,
+    max_s_rel,
     negativity,
     run_steady_point,
+    s_rel,
     s_rel_first_order,
     s_rel_peak_first_order,
     schmidt_analysis,
@@ -388,12 +391,22 @@ class TestDynamicsTrace:
                 assert np.float64(row.s_rel_peak_oracle).tobytes() == np.float64(want).tobytes()
             assert rows[-1].s_rel_peak_oracle > 0.0
 
-    def test_undefined_oracle_raises(self):
+    def test_undefined_oracle_is_nan(self):
         # gamma_g_a = gamma_d_b = delta = 0 make lam_minus vanish; the
-        # state evolves, and the trace refuses the oracle.
+        # state evolves and is measured as usual, and the oracle column is nan.
         params = SystemParams(gamma_g_a=0.0, gamma_d_b=0.0, epsilon=0.1)
-        with pytest.raises(ValueError, match=NO_STEADY_STATE):
-            sweep.dynamics_trace(params, t_max=0.01, samples=3)
+        rows = sweep.dynamics_trace(params, t_max=0.05, samples=3)
+        assert all(math.isnan(row.s_rel_peak_oracle) for row in rows)
+        rho0 = np.zeros((9, 9), dtype=complex)
+        rho0[4, 4] = 1.0
+        traj = evolve(params, rho0, 0.05, samples=3)
+        assert [row.t for row in rows] == traj.times.tolist()
+        assert [row.trace_error for row in rows] == traj.trace_errors.tolist()
+        for row, rho in zip(rows, traj.states):
+            assert row.s_rel_peak == pytest.approx(
+                max_s_rel(s_rel(rho, QuadratureSpec()))[1], abs=1e-14)
+            assert row.negativity == pytest.approx(negativity(rho), abs=1e-14)
+        assert rows[-1].negativity > 0.005
 
 
 def record_lapack_calls(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
