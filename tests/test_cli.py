@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -430,6 +431,31 @@ class TestDynamicsCommand:
                 assert main(argv) == 1
             assert capsys.readouterr().err == "error: t_max must be finite and >= 0\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("rates, t_max, count", [
+        (1e300, "1", "1e+303"),
+        (1e300, "1e10", "inf"),
+        (None, "1e10", "1e+15"),
+    ], ids=["huge_rates", "overflowing_count", "long_horizon"])
+    def test_step_count_beyond_the_bound_is_an_error_line(self, tmp_path, capsys, rates,
+                                                          t_max, count):
+        # All four rates at 1e300 make dt = 1e-303; at t_max = 1e10 the
+        # count overflows.  FIG2's dt = 1e-5 to t_max = 1e10 is finite and
+        # too long.  Each exits 1 at once, with one line and no output file.
+        config = FIG2_CONFIG if rates is None else {
+            name: rates for name in ("gamma_g_a", "gamma_d_a", "gamma_g_b", "gamma_d_b")}
+        out = tmp_path / "x.csv"
+        argv = ["dynamics", "--config", write_json(tmp_path, config), "--t-max", t_max,
+                "--out", str(out)]
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: evolving to t = {float(t_max):g} takes {count} RK4 steps")
+        assert err.endswith("more than MAX_STEPS = 1e+08\n") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
+import time
 import math
 import warnings
 from fractions import Fraction
@@ -83,6 +85,83 @@ def direct_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
     out = out + 0.5 * params.gamma_g_b * dissipator(embed(sp @ sz, "B"), rho)
     out = out + 0.5 * params.gamma_d_b * dissipator(embed(sm @ sz, "B"), rho)
     return out
+
+
+# The dense kron construction of the seven 81x81 basis superoperators, as the
+# engine built them before its table of sector blocks: the differential
+# oracle of that table and of build_generator.
+
+def _left(op: np.ndarray) -> np.ndarray:
+    return np.kron(op, np.eye(9, dtype=complex))
+
+
+def _right(op: np.ndarray) -> np.ndarray:
+    return np.kron(np.eye(9, dtype=complex), op.T)
+
+
+def _commutator_super(ham: np.ndarray) -> np.ndarray:
+    return -1j * (_left(ham) - _right(ham))
+
+
+def _dissipator_super(op: np.ndarray) -> np.ndarray:
+    odo = op.conj().T @ op
+    return np.kron(op, op.conj()) - 0.5 * (_left(odo) + _right(odo))
+
+
+def _basis_superoperators() -> np.ndarray:
+    # One superoperator per SystemParams field, in field order: the four
+    # (gamma/2) D[J] channels, the exchange, then the frequencies, written as
+    # omega_A = omega_ref + delta so delta drives Sz_A and omega_ref drives
+    # the total Sz.
+    sz, sp, sm = spin1_operators()
+    sz_a, sz_b = embed(sz, "A"), embed(sz, "B")
+    exchange = 0.5j * (embed(sp, "A") @ embed(sm, "B") - embed(sp, "B") @ embed(sm, "A"))
+    return np.stack([
+        0.5 * _dissipator_super(embed(sp @ sz, "A")),
+        0.5 * _dissipator_super(embed(sm @ sz, "A")),
+        0.5 * _dissipator_super(embed(sp @ sz, "B")),
+        0.5 * _dissipator_super(embed(sm @ sz, "B")),
+        _commutator_super(exchange),
+        _commutator_super(sz_a),
+        _commutator_super(sz_a + sz_b),
+    ])
+
+
+KRON_BASIS = _basis_superoperators()
+
+
+def kron_generator(params: SystemParams) -> np.ndarray:
+    """The 81x81 generator combined from KRON_BASIS, as build_generator combined it."""
+    return liouvillian._combine(np.array(_weights(params)),
+                                KRON_BASIS.reshape(7, -1)).reshape(81, 81)
+
+
+def dense_rk4_step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
+    # Classical RK4 applied to the linear system vec' = L vec collapses to a
+    # fixed one-step matrix: sum of (hL)^k / k! for k = 0..4.
+    dim = gen.shape[0]
+    step = np.eye(dim, dtype=complex)
+    term = np.eye(dim, dtype=complex)
+    for k in range(1, 5):
+        term = (h / k) * (gen @ term)
+        step = step + term
+    return step
+
+
+def dense_rk4_states(params: SystemParams, rho0: np.ndarray, t_max: float, dt: float,
+                     samples: int) -> np.ndarray:
+    """RK4 on the whole 81x81 oracle generator, with evolve's step and sampling."""
+    seg = t_max / (samples - 1)
+    n_sub = max(1, int(np.ceil(seg / dt - 1e-12)))
+    step = dense_rk4_step_matrix(kron_generator(params), seg / n_sub)
+    vec = (0.5 * (rho0 + rho0.conj().T)).reshape(-1)
+    states = []
+    for i in range(samples):
+        for _ in range(n_sub if i else 0):
+            vec = step @ vec
+        rho = vec.reshape(9, 9)
+        states.append(0.5 * (rho + rho.conj().T))
+    return np.array(states)
 
 
 def trace_row() -> np.ndarray:
@@ -448,6 +527,48 @@ class TestSystemParams:
         assert str(raised.value) == message
 
 
+class TestSectorTable:
+    """The import-time table of basis blocks against the dense kron oracle."""
+
+    def test_table_equals_the_kron_oracle_bitwise(self):
+        # All seven channels on each sector k = 0..4, bit for bit.
+        sectors = liouvillian._SECTORS
+        assert [len(sector) for sector in sectors] == [19, 16, 10, 4, 1]
+        for k, (sector, basis) in enumerate(zip(sectors, liouvillian._SECTOR_BASIS)):
+            assert {excitation_difference(i) for i in sector} == {k}
+            assert basis.shape == (7, len(sector), len(sector))
+            assert basis.tobytes() == KRON_BASIS[:, sector][:, :, sector].tobytes(), k
+
+    def test_adjoint_indices_hold_sector_minus_k(self):
+        for k, (sector, adjoint) in enumerate(zip(liouvillian._SECTORS, liouvillian._ADJOINTS)):
+            assert {excitation_difference(i) for i in adjoint} == {-k}
+            assert np.array_equal(np.sort(adjoint), EXCITATION_SECTORS[2 * k] if k else sector)
+
+    @settings(max_examples=50, deadline=None)
+    @given(system_params(), st.floats(min_value=-10.0, max_value=10.0))
+    def test_build_generator_equals_the_kron_oracle_bitwise(self, params, omega):
+        params = dataclasses.replace(params, omega_ref=omega)
+        assert build_generator(params).tobytes() == kron_generator(params).tobytes()
+
+    def test_real_basis_bytes_are_unchanged(self):
+        # The steady path's 64 real entries per channel, taken from the k = 0
+        # block of the table, have the bytes they had when they were cut
+        # from the dense kron basis.
+        digest = hashlib.sha256(liouvillian._REAL_BASIS.tobytes()).hexdigest()
+        assert digest == "1124d96dbdcfe22e7f58f9ba856ce06df80d9689896bb82b2a86da7ef9de4ad3"
+
+    def test_no_engine_path_forms_the_whole_generator(self, monkeypatch):
+        def refuse(params):
+            raise AssertionError("the 81x81 generator was formed")
+
+        monkeypatch.setattr(liouvillian, "build_generator", refuse)
+        rho0 = random_density(np.random.default_rng(3), 9)
+        evolve(FIG2, rho0, t_max=0.01, samples=2)
+        sweep.dynamics_trace(FIG2, t_max=0.01, samples=2)
+        steady_states([FIG2, BALANCED])
+        sweep.evaluate_point(FIG2)
+
+
 class TestGenerator:
     def test_shape(self):
         assert build_generator(FIG2).shape == (81, 81)
@@ -534,7 +655,7 @@ class TestExcitationSectors:
         # bit for bit.  The engine's einsum of the same product has its real
         # part bit for bit and an imaginary part within a few eps, and
         # _REAL_BASIS is that real part on its 64 nonzero columns.
-        blocks = liouvillian._BASIS[:, K0][:, :, K0]
+        blocks = liouvillian._SECTOR_BASIS[0]
         form = pair_summed_form(blocks)
         assert np.all(form.imag == 0.0)
         t = liouvillian._HERMITIAN_BASIS
@@ -697,9 +818,18 @@ class TestExactRule:
             for (row, col), (re, im) in basis.items():
                 assert float(re) == re and float(im) == im
                 want[j, row, col] = complex(float(re), float(im))
-        for got, part in ((liouvillian._BASIS.real, want.real),
-                          (liouvillian._BASIS.imag, want.imag)):
-            assert np.all(np.abs(got - part) <= np.spacing(np.abs(part)))
+        # The table holds the basis on the sectors k = 0..4.  In the exact
+        # basis the blocks of -k are their conjugates at the adjoint
+        # indices, and every other entry is zero.
+        inside = np.zeros((81, 81), dtype=bool)
+        for sector, adjoint, basis in zip(liouvillian._SECTORS, liouvillian._ADJOINTS,
+                                          liouvillian._SECTOR_BASIS):
+            block = want[:, sector][:, :, sector]
+            for got, part in ((basis.real, block.real), (basis.imag, block.imag)):
+                assert np.all(np.abs(got - part) <= np.spacing(np.abs(part)))
+            assert np.array_equal(want[:, adjoint][:, :, adjoint], block.conj())
+            inside[np.ix_(sector, sector)] = inside[np.ix_(adjoint, adjoint)] = True
+        assert not np.any(want[:, ~inside])
 
     def test_engine_state_matches_the_exact_state(self):
         # FIG2 and four wide-range draws, solved exactly over Q(i) from the
@@ -1249,6 +1379,44 @@ class TestEvolve:
             assert np.max(np.abs(state - state.conj().T)) <= 1e-12
             assert np.trace(state).real == pytest.approx(1.0, abs=1e-8)
             assert np.min(np.linalg.eigvalsh(state)) >= -1e-8
+
+    @pytest.mark.parametrize("initial", ["random", "zero_zero"])
+    def test_sectors_agree_with_dense_rk4(self, initial):
+        # A random Hermitian rho0 occupies all five k >= 0 sectors, |0,0>
+        # only k = 0.  Stepping each sector with its own block agrees with
+        # RK4 on the whole 81x81 oracle generator to rounding.
+        params = SystemParams(gamma_g_a=1.3, gamma_d_b=0.6, epsilon=0.1, delta=0.4,
+                              omega_ref=2.5)
+        if initial == "random":
+            rho0 = random_density(np.random.default_rng(17), 9)
+            assert all(np.all(rho0.reshape(-1)[sector] != 0.0)
+                       for sector in liouvillian._SECTORS)
+        else:
+            rho0 = both_zero_density()
+        traj = evolve(params, rho0, t_max=1.0, dt=1e-3, samples=4)
+        want = dense_rk4_states(params, rho0, 1.0, 1e-3, 4)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(np.array(traj.states) - want)) <= 1e-12 * scale
+        assert np.max(np.abs(traj.trace_errors - np.abs(np.trace(
+            want, axis1=1, axis2=2).real - 1.0))) <= 1e-12
+
+    def test_step_count_is_bounded(self, monkeypatch):
+        # MAX_STEPS steps are taken, one more is refused before the first.
+        monkeypatch.setattr(liouvillian, "MAX_STEPS", 1000)
+        evolve(BALANCED, both_zero_density(), t_max=1.0, dt=1e-3, samples=3)
+        with pytest.raises(ValueError, match=r"takes 1\.01e\+03 RK4 steps of dt <= 9\.9"):
+            evolve(BALANCED, both_zero_density(), t_max=1.0, dt=0.99e-3, samples=3)
+
+    @pytest.mark.parametrize("t_max", [1.0, 1e10])
+    def test_huge_step_count_is_refused_at_once(self, t_max):
+        # All four rates at 1e300 give dt = 1e-303: 1e303 steps to t = 1,
+        # and a count that overflows to inf at t = 1e10.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=(
+                r"RK4 steps of dt <= 1\.000e-303, more than MAX_STEPS = 1e\+08")) as raised:
+            evolve(SystemParams(1e300, 1e300, 1e300, 1e300), both_zero_density(), t_max=t_max)
+        assert time.perf_counter() - start < 1.0
+        assert f"takes {'1e+303' if t_max == 1.0 else 'inf'} RK4 steps" in str(raised.value)
 
     def test_oversized_step_aborts(self):
         with pytest.raises(IntegrationStepError):

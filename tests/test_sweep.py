@@ -29,6 +29,7 @@ from spinsync import (
 from spinsync import liouvillian, sweep
 from spinsync.cli import main
 from spinsync.first_order import NO_STEADY_STATE, coherences
+from spinsync.operators import SECTOR_ENTRIES
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER, evaluate_point
 
 SMALL_GRID = dict(eps_range=(0.0, 0.1), delta_range=(-1.0, 1.0), steps=(2, 3))
@@ -361,19 +362,24 @@ class TestDynamicsTrace:
     def test_trace_is_conserved(self, fig2_dynamics):
         assert all(row.trace_error <= 1e-8 for row in fig2_dynamics)
 
-    def test_state_outside_the_sector_raises(self, monkeypatch):
-        # The samples are measured on their k = 0 entries; any other entry
-        # must be zero, or the trace refuses to drop it.
+    def test_samples_outside_the_sector_are_exactly_zero(self, monkeypatch):
+        # The samples are measured on their k = 0 entries.  evolve steps
+        # only the sectors where |0,0> is nonzero, so every other entry of
+        # every sample is exactly zero, at any omega_ref.  Inside the sector
+        # only the populations of |+1,+1> and |-1,-1>, which nothing feeds,
+        # stay zero.
         evolve = sweep.evolve
+        trajectories = []
 
-        def leaking(*args, **kwargs):
-            traj = evolve(*args, **kwargs)
-            traj.states[-1][0, 1] = traj.states[-1][1, 0] = 1e-30
-            return traj
+        def recording(*args, **kwargs):
+            trajectories.append(evolve(*args, **kwargs))
+            return trajectories[-1]
 
-        monkeypatch.setattr(sweep, "evolve", leaking)
-        with pytest.raises(RuntimeError, match="left the k = 0 sector"):
-            sweep.dynamics_trace(FIG2, t_max=0.01, samples=3)
+        monkeypatch.setattr(sweep, "evolve", recording)
+        sweep.dynamics_trace(dataclasses.replace(FIG2, omega_ref=3.0), t_max=0.05, samples=3)
+        flat = np.array(trajectories[0].states).reshape(3, -1)
+        assert np.count_nonzero(flat[-1, SECTOR_ENTRIES]) == 17
+        assert not np.any(np.delete(flat, SECTOR_ENTRIES, axis=-1))
 
     def test_sample_count_and_spacing(self, fig2_dynamics):
         times = [row.t for row in fig2_dynamics]
