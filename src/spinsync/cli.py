@@ -18,11 +18,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .liouvillian import SystemParams
+from .liouvillian import PARAM_KEYS, SystemParams
 from .phasespace import QuadratureSpec
 from .sweep import (
     SWEEP_CSV_HEADER,
@@ -39,9 +39,7 @@ from .sweep import (
 # deviation is taken on it.
 _QUIET_ORACLE = 1e-12
 
-PARAM_KEYS = ("gamma_g_a", "gamma_d_a", "gamma_g_b", "gamma_d_b",
-              "epsilon", "delta", "omega_ref")
-QUAD_KEYS = ("n_theta", "n_phi", "n_phi_out")
+QUAD_KEYS = tuple(f.name for f in fields(QuadratureSpec))
 
 
 class ConfigError(ValueError):

@@ -39,7 +39,10 @@ class CoherencePair:
 
 
 class FirstOrderStack(NamedTuple):
-    """The closed forms of a stack; defined is False where a decay rate vanishes."""
+    """The closed forms of a stack; defined is False where a decay rate vanishes.
+
+    There s_rel_peak and negativity are nan (NO_STEADY_STATE).
+    """
 
     lam_plus: np.ndarray
     lam_minus: np.ndarray
@@ -63,7 +66,8 @@ def first_order_stack(weights: np.ndarray, t: complex | np.ndarray | None = STEA
     The coherences solve mu_plus' = 1 - lam_plus*mu_plus and mu_minus' =
     -1 - lam_minus*mu_minus from 0; t=STEADY gives their limits 1/lam_plus
     and -1/lam_minus.  The peak over phi is SREL_COEFF*epsilon*|mu_plus +
-    conj(mu_minus)|, the negativity epsilon*(|mu_plus| + |mu_minus|).
+    conj(mu_minus)|, the negativity epsilon*(|mu_plus| + |mu_minus|),
+    both nan at every t where a decay rate vanishes.
     """
     gamma_g_a, gamma_d_a, gamma_g_b, gamma_d_b, epsilon, delta = weights.T[:6]
     lam_plus = 0.5 * (gamma_d_a + gamma_g_b) + 1j * delta
@@ -73,11 +77,12 @@ def first_order_stack(weights: np.ndarray, t: complex | np.ndarray | None = STEA
     else:
         mu_plus = (1.0 - np.exp(-lam_plus * t)) / lam_plus
         mu_minus = -(1.0 - np.exp(-lam_minus * t)) / lam_minus
+    defined = (lam_plus != 0) & (lam_minus != 0)
     return FirstOrderStack(
         lam_plus, lam_minus, mu_plus, mu_minus,
-        SREL_COEFF * epsilon * np.abs(mu_plus + np.conj(mu_minus)),
-        epsilon * (np.abs(mu_plus) + np.abs(mu_minus)),
-        (lam_plus != 0) & (lam_minus != 0),
+        np.where(defined, SREL_COEFF * epsilon * np.abs(mu_plus + np.conj(mu_minus)), np.nan),
+        np.where(defined, epsilon * (np.abs(mu_plus) + np.abs(mu_minus)), np.nan),
+        defined,
     )
 
 
@@ -117,19 +122,6 @@ def s_rel_peak_first_order(params: SystemParams, t: float | None = STEADY) -> fl
 def negativity_first_order(params: SystemParams, t: float | None = STEADY) -> float:
     """First-order negativity epsilon*(|mu_plus| + |mu_minus|)."""
     return float(_one_point(params, t).negativity[0])
-
-
-def peak_and_negativity_first_order(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steady s_rel_peak_first_order and negativity_first_order of a stack.
-
-    weights is (n, 7), one row per point in SystemParams field order.
-    Returns the two values (n, 2), nan where a decay rate vanishes
-    (NO_STEADY_STATE), and a mask (n) of the points where they are defined.
-    """
-    stack = first_order_stack(weights)
-    values = np.stack([stack.s_rel_peak, stack.negativity], axis=-1)
-    values[~stack.defined] = np.nan
-    return values, stack.defined
 
 
 def first_order_state(params: SystemParams, t: float | None = STEADY) -> np.ndarray:

@@ -12,8 +12,9 @@ suite checks by varying omega_ref.  All rates are in units of gamma_d_a.
 
 Every term conserves the total excitation m_A + m_B on each side of rho, so
 the generator is block-diagonal in the excitation difference k between the
-row and the column of rho (nine sectors, k = -4..4).  It maps rho^dag to
-L(rho)^dag, so the block of sector -k is the conjugate of the block of +k.
+row and the column of rho (nine sectors, k = -4..4, laid out in
+operators.EXCITATION_SECTORS).  It maps rho^dag to L(rho)^dag, so the
+block of sector -k is the conjugate of the block of +k.
 The generator is linear in the seven parameters, and the module holds it
 as one table: the seven basis superoperators restricted to each sector k =
 0..4, gathered at import from the 9x9 operators.  evolve steps each sector
@@ -36,8 +37,9 @@ the other coordinates; with its first population row replaced by the trace
 row, one inverse X of that system gives the state from its first column
 and, verified in the style of Rump, a certified bound on its error against
 the exact generator's state; a point is accepted when the verification
-holds and the bound is at most STATE_TOL.  x = T y is Hermitian by
-construction.  steady_states solves a stack of points with stacked LAPACK
+holds and the bound is at most STATE_TOL.  A system that LAPACK finds
+singular gets a nan inverse, which fails the verification.  x = T y is
+Hermitian by construction.  steady_states solves a stack of points with stacked LAPACK
 calls and returns each state as its 19 k = 0 entries, with the spectrum of
 its blocks in M = m_A + m_B, which the density-matrix checks and the
 measures share: closed forms for the blocks of sizes 1 and 2, one stacked
@@ -50,13 +52,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .operators import (
-    M_VALUES,
+    EXCITATION_SECTORS,
+    SECTOR_ADJOINT,
     SECTOR_ENTRIES,
     LinearSolveError,
+    adjoint_index,
     embed,
     m_block_eigensystem,
     sector_matrix,
@@ -98,6 +103,11 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite")
 
 
+PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
+"""The names of the seven parameters in field order: the columns of a weights array."""
+_weights = attrgetter(*PARAM_KEYS)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled time evolution: times and the matching 9x9 states."""
@@ -107,29 +117,11 @@ class Trajectory:
     trace_errors: np.ndarray = field(repr=False)
 
 
-def _excitation_sectors() -> tuple[np.ndarray, ...]:
-    # Entry (r, c) of rho, at vec index 9 r + c, carries the excitation
-    # difference M(r) - M(c) with M = m_A + m_B.  Sectors are ordered
-    # k = 0, +1, -1, +2, -2, ..., -4.
-    m_total = np.array([m_a + m_b for m_a in M_VALUES for m_b in M_VALUES])
-    diff = (m_total[:, None] - m_total[None, :]).reshape(-1)
-    order = [0] + [sign * k for k in range(1, 5) for sign in (1, -1)]
-    return tuple(np.flatnonzero(diff == k) for k in order)
-
-
-EXCITATION_SECTORS = _excitation_sectors()
-"""Vec indices of each excitation-difference sector, k = 0 first.
-
-The generator conserves m_A + m_B on both sides of rho, so it never links
-entries with different k: it is block-diagonal over these sectors, of sizes
-19, 16, 16, 10, 10, 4, 4, 1, 1.  The trace, and hence the steady state,
-lives in k = 0.
-"""
-
-# The sectors k = 0..4.  _ADJOINTS[k][j] is the vec index of rho[c, r] for
-# the rho[r, c] at _SECTORS[k][j], in sector -k for k > 0.
+# The sectors k = 0..4 of operators.EXCITATION_SECTORS.  _ADJOINTS[k][j] is
+# the vec index of rho[c, r] for the rho[r, c] at _SECTORS[k][j], in sector
+# -k for k > 0.
 _SECTORS = EXCITATION_SECTORS[:1] + EXCITATION_SECTORS[1::2]
-_ADJOINTS = tuple(9 * (sector % 9) + sector // 9 for sector in _SECTORS)
+_ADJOINTS = tuple(map(adjoint_index, _SECTORS))
 
 
 def _sector_basis() -> tuple[np.ndarray, ...]:
@@ -168,11 +160,6 @@ def _sector_basis() -> tuple[np.ndarray, ...]:
 
 
 _SECTOR_BASIS = _sector_basis()
-
-
-def _weights(params: SystemParams) -> tuple[float, ...]:
-    return (params.gamma_g_a, params.gamma_d_a, params.gamma_g_b, params.gamma_d_b,
-            params.epsilon, params.delta, params.omega_ref)
 
 
 def _combine(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -225,7 +212,7 @@ def _hermitian_basis() -> np.ndarray:
     """
     row, col = np.divmod(SECTOR_ENTRIES, 9)
     upper = np.flatnonzero(row < col)
-    lower = np.searchsorted(SECTOR_ENTRIES, 9 * col[upper] + row[upper])
+    lower = SECTOR_ADJOINT[upper]
     half = math.sqrt(0.5)
     basis = np.zeros((19, 19), dtype=complex)
     basis[row == col, :_POPULATIONS] = np.eye(_POPULATIONS)
@@ -242,7 +229,8 @@ _HERMITIAN_BASIS = _hermitian_basis()
 # and its thread count.  Its imaginary part is zero; R is assembled from
 # the 64 entries, at _REAL_ENTRIES, that are nonzero in some basis block:
 # every other entry of R is zero at every point.
-_REAL_FORM = np.einsum("ki,jkl,lm->jim", _HERMITIAN_BASIS.conj(), _SECTOR_BASIS[0],
+_REAL_FORM = np.einsum("jil,lm->jim", np.einsum("ki,jkl->jil", _HERMITIAN_BASIS.conj(),
+                                                 _SECTOR_BASIS[0]),
                        _HERMITIAN_BASIS).real.reshape(7, -1)
 _REAL_ENTRIES = np.flatnonzero(np.any(_REAL_FORM != 0.0, axis=0))
 _REAL_BASIS = _REAL_FORM[:, _REAL_ENTRIES]
@@ -323,37 +311,6 @@ def as_weights(points: Sequence[SystemParams] | np.ndarray) -> np.ndarray:
     return np.array([_weights(p) for p in points], dtype=float).reshape(len(points), 7)
 
 
-def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
-    """Unique steady states of a stack of points, solved together.
-
-    points is a sequence of SystemParams or their (n, 7) weights (see
-    as_weights).  Every point gets the same result, bit for bit, as it gets
-    alone; a point that is refused or fails does not affect the others.
-    LAPACK fails a whole stack when one member fails (a singular matrix,
-    say), so such a stack is solved again in halves until the failure is
-    pinned on its point, which is refused.  A point whose real k = 0 block
-    R overflows to non-finite entries is refused before any LAPACK call.
-    An empty stack gives empty arrays.  See steady_state for the method.
-    """
-    weights = as_weights(points)
-    try:
-        return _solve_stack(weights)
-    except np.linalg.LinAlgError as exc:
-        if len(weights) == 1:
-            # Only the inverse raises: eigh sees verified, finite states.
-            error = NonUniqueSteadyStateError(
-                f"{_NOT_UNIQUE}its recurrent block has no inverse to verify ({exc})")
-            return SteadyStates(np.zeros((1, 19), dtype=complex), np.full(1, np.nan),
-                                np.full(1, np.nan), (error,), np.zeros((1, 9)),
-                                np.zeros((1, 2)), np.zeros((1, 3, 3), dtype=complex))
-        halves = [steady_states(weights[:len(weights) // 2]),
-                  steady_states(weights[len(weights) // 2:])]
-        return SteadyStates(*[
-            halves[0].errors + halves[1].errors if f.name == "errors"
-            else np.concatenate([getattr(h, f.name) for h in halves])
-            for f in fields(SteadyStates)])
-
-
 def _real_entries(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The real k = 0 block entries of a stack of points, from their (n, 7) weights.
 
@@ -387,7 +344,7 @@ def _structural_refusal(weights: np.ndarray) -> NonUniqueSteadyStateError:
         reason = "both gains are zero"
     else:
         # Here epsilon is zero and so is one of gamma_g_a, gamma_g_b, gamma_d_b.
-        zero = [f.name for f, w in zip(fields(SystemParams), weights[:5]) if w == 0.0]
+        zero = [name for name, w in zip(PARAM_KEYS, weights[:5]) if w == 0.0]
         reason = f"{', '.join(zero[:-1])} and {zero[-1]} are zero"
     return NonUniqueSteadyStateError(f"steady state is not unique: {reason}")
 
@@ -411,7 +368,9 @@ def _verified_states(entries: np.ndarray, scale: np.ndarray) -> tuple[
 
     bounds max|y - y_exact| (Rump, Acta Numerica 19, 287 (2010)).
     Returns y (n, 17), R_rr y (n, 17), e and bound, which are not finite
-    where X is not.
+    where X is not.  LAPACK refuses a whole stack for one singular member;
+    then the stack is inverted again one system at a time, and a system
+    LAPACK finds singular gets a nan X, which fails the verification.
     """
     flat = np.zeros((len(entries), 17 * 17))
     flat[:, _RECURRENT_AT] = entries[:, _RECURRENT_FROM]
@@ -419,7 +378,15 @@ def _verified_states(entries: np.ndarray, scale: np.ndarray) -> tuple[
     square = recurrent.copy()
     square[:, 0, :_RECURRENT_POPULATIONS] = scale[:, None]
     square[:, 0, _RECURRENT_POPULATIONS:] = 0.0
-    inverse = np.linalg.inv(square)
+    try:
+        inverse = np.linalg.inv(square)
+    except np.linalg.LinAlgError:
+        inverse = np.full_like(square, np.nan)
+        for i, system in enumerate(square):
+            try:
+                inverse[i] = np.linalg.inv(system)
+            except np.linalg.LinAlgError:
+                pass
     y = scale[:, None] * inverse[:, :, 0]
     # A nearly singular S may give X overflowing entries, which the
     # verification refuses.  Row sums are matrix-vector products.
@@ -441,7 +408,18 @@ def _verified_states(entries: np.ndarray, scale: np.ndarray) -> tuple[
     return y, image, e, bound
 
 
-def _solve_stack(weights: np.ndarray) -> SteadyStates:
+def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
+    """Unique steady states of a stack of points, solved together.
+
+    points is a sequence of SystemParams or their (n, 7) weights (see
+    as_weights).  Every point gets the same result, bit for bit, as it gets
+    alone; a point that is refused or fails does not affect the others.  A
+    point whose real k = 0 block R overflows to non-finite entries is
+    refused before any LAPACK call, and one whose recurrent system LAPACK
+    finds singular fails the verification (see _verified_states).  An
+    empty stack gives empty arrays.  See steady_state for the method.
+    """
+    weights = as_weights(points)
     entries, finite, max_entry = _real_entries(weights)
     structural = _structurally_unique(weights)
 
@@ -512,14 +490,15 @@ def steady_state(
     NonUniqueSteadyStateError refuses a point whose zero parameters leave a
     larger kernel, naming them: both gains zero, or no exchange and another
     rate zero.  Its text starts "steady state is not unique to double
-    precision: " for a point whose square recurrent system S (see the
-    module docstring) has no inverse, whose inverse X fails the
-    verification ||I - X S|| < 1, or whose certified error exceeds
-    STATE_TOL (see _verified_states).  The residual ||R y|| = ||B_0 x|| is
-    checked against tolerance 1e-10 (1 + max|R|), and the density-matrix
-    checks take the lowest eigenvalue from the nine eigenvalues of the
-    blocks of rho in M = m_A + m_B (operators.m_block_eigensystem); a
-    point that fails both reports the residual.  A point whose R overflows
+    precision: " for a point whose inverse X of its square recurrent system
+    S (see the module docstring) fails the verification ||I - X S|| < 1,
+    as a system that LAPACK finds singular does, or whose certified error
+    exceeds STATE_TOL (see _verified_states).  The residual ||R y|| = ||B_0
+    x|| is checked against tolerance 1e-10 (1 + max|R|), and the
+    density-matrix checks take the lowest eigenvalue from the nine
+    eigenvalues of the blocks of rho in M = m_A + m_B
+    (operators.m_block_eigensystem); a point that fails both reports the
+    residual.  A point whose R overflows
     to non-finite entries is refused with ValueError.  This is
     steady_states on a stack of one point, whose 19 entries are laid out
     as the 9x9 matrix here; every other sector of rho is zero.
@@ -556,6 +535,11 @@ MAX_STATE_NORM = 1e3
 MAX_STEPS = 1e8
 """Most RK4 steps one evolve call may take; a longer run is refused up front."""
 
+# Every sample is kept: spinsync dynamics peaks at 91 MB with 20001 samples
+# and at 327 MB with this many, about 3 KB a sample.
+MAX_SAMPLES = 10**5
+"""Most samples one evolve call may keep; more are refused up front."""
+
 
 def evolve(params: SystemParams, rho0: np.ndarray, t_max: float, dt: float | None = None,
            samples: int = 11) -> Trajectory:
@@ -567,13 +551,15 @@ def evolve(params: SystemParams, rho0: np.ndarray, t_max: float, dt: float | Non
     and a sector where rho0 is zero stays exactly zero.  States are
     re-Hermitized at the sample points.  dt is an upper bound on the step;
     the actual step evenly divides the sampling interval.  More than
-    MAX_STEPS steps are refused with ValueError before the first, and a
-    trace drift beyond 1e-6 or a norm blow-up aborts with IntegrationStepError.
+    MAX_SAMPLES samples or MAX_STEPS steps are refused with ValueError
+    before the first step, and a trace drift beyond 1e-6 or a norm blow-up
+    aborts with IntegrationStepError.
     """
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ValueError("t_max must be finite and >= 0")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be between 1 and MAX_SAMPLES = {MAX_SAMPLES}, "
+                         f"got {samples}")
     validate_density_matrix(rho0, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
     if dt is None:
         dt = default_time_step(params)

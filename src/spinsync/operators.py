@@ -5,7 +5,9 @@ diagonal with descending entries.  Two-spin product states |m_A, m_B> live
 at flat index 3*idx(m_A) + idx(m_B); |0,0> sits at index 4.  All matrices
 are dense complex ndarrays in row-major layout.
 
-A state that commutes with Sz_A + Sz_B, as every steady state and every
+The entries of rho fall into nine sectors of equal excitation difference
+(EXCITATION_SECTORS, adjoint_index), on which the generator is built.  A
+state that commutes with Sz_A + Sz_B, as every steady state and every
 state reached from |0,0> does, is held by its 19 k = 0 entries (see
 SECTOR_ENTRIES).  Such a state and its partial transpose are then
 block-diagonal, with blocks of sizes 1, 2, 3, 2, 1 made of those entries
@@ -130,25 +132,41 @@ def hermitian_eigenvalues(matrix: np.ndarray, herm_tol: float = 1e-8) -> np.ndar
     return np.linalg.eigvalsh(matrix)
 
 
-# The k = 0 sector of a pair state: the 19 entries rho_rc whose row and
-# column carry the same total excitation M = m_A + m_B.  Every state the
-# master equation reaches from |0,0><0,0| or relaxes to lies in it.
+def adjoint_index(vec_index: np.ndarray) -> np.ndarray:
+    """Vec index 9 c + r of rho_cr for each rho_rc at vec index 9 r + c."""
+    return PAIR_DIM * (vec_index % PAIR_DIM) + vec_index // PAIR_DIM
+
+
 _M_TOTAL = np.array([m_a + m_b for m_a in M_VALUES for m_b in M_VALUES])
 _M_DIFFERENCE = np.array([m_a - m_b for m_a in M_VALUES for m_b in M_VALUES])
+_EXCITATION_DIFFERENCE = np.subtract.outer(_M_TOTAL, _M_TOTAL).reshape(-1)
 
-SECTOR_ENTRIES = np.flatnonzero(np.equal.outer(_M_TOTAL, _M_TOTAL).reshape(-1))
+EXCITATION_SECTORS = tuple(np.flatnonzero(_EXCITATION_DIFFERENCE == k)
+                           for k in (0, 1, -1, 2, -2, 3, -3, 4, -4))
+"""Vec indices, ascending, of each sector k = 0, +1, -1, ..., -4.
+
+Entry rho_rc, at vec index 9 r + c, is in the sector of its excitation
+difference k = M(r) - M(c), M = m_A + m_B.  The master equation conserves
+M on both sides of rho, so its generator is block-diagonal over these
+sectors, of sizes 19, 16, 16, 10, 10, 4, 4, 1, 1.
+"""
+
+SECTOR_ENTRIES = EXCITATION_SECTORS[0]
 """Vec indices 9 r + c of the 19 k = 0 entries, ascending.
 
 A sector state x of shape (..., 19) holds rho.reshape(..., 81)[...,
-SECTOR_ENTRIES]; every other entry of rho is zero.
+SECTOR_ENTRIES]; every other entry of rho is zero.  The trace, and every
+state the master equation reaches from |0,0><0,0| or relaxes to, lie here.
 """
 
 _POSITION = np.full(PAIR_DIM**2, len(SECTOR_ENTRIES))
 _POSITION[SECTOR_ENTRIES] = np.arange(len(SECTOR_ENTRIES))
 
-# Positions in x of the diagonal rho_jj, and of rho_cr for each rho_rc.
+# Positions in x of the diagonal rho_jj.
 _SECTOR_DIAGONAL = _POSITION[(PAIR_DIM + 1) * np.arange(PAIR_DIM)]
-_SECTOR_ADJOINT = _POSITION[PAIR_DIM * (SECTOR_ENTRIES % PAIR_DIM) + SECTOR_ENTRIES // PAIR_DIM]
+
+SECTOR_ADJOINT = _POSITION[adjoint_index(SECTOR_ENTRIES)]
+"""Position in a sector state x of rho_cr, for each rho_rc."""
 
 
 # A block table lists the 17 positions in a sector state x of the blocks
@@ -282,7 +300,7 @@ def sector_state_errors(
     InvalidStateError it raises for that matrix.
     """
     tol = 1e-10
-    dev = np.abs(x - x[:, _SECTOR_ADJOINT].conj()).max(axis=-1)
+    dev = np.abs(x - x[:, SECTOR_ADJOINT].conj()).max(axis=-1)
     trace = sector_trace(x)
     lowest = eigenvalues.min(axis=-1)
     failing = (dev > tol) | (np.abs(trace - 1.0) > tol) | (lowest < -tol)

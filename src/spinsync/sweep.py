@@ -33,12 +33,9 @@ from .correlations import (
     sector_purity,
     sector_schmidt,
 )
-from .first_order import (
-    NO_STEADY_STATE,
-    first_order_stack,
-    peak_and_negativity_first_order,
-)
+from .first_order import NO_STEADY_STATE, first_order_stack
 from .liouvillian import (
+    PARAM_KEYS,
     SteadyStates,
     SystemParams,
     as_weights,
@@ -109,10 +106,10 @@ DYNAMICS_CSV_HEADER = _csv_schema(DynamicsRow)[0]
 # faster than 64 and 256; larger chunks hold more memory at once.
 CHUNK_SIZE = 128
 
-_FIELDS = [f.name for f in fields(SystemParams)]
-
-# The SweepRecord fields, which are also the sweep CSV columns, in order.
-_RECORD_FIELDS = [f.name for f in fields(SweepRecord)]
+# The largest sweep or scan grid.  Every point's results are held until the
+# CSV is written: spinsync sweep peaks at 43 MB on 101x101 points and at
+# 127 MB on 301x301, about 1.1 KB a point, some 1.1 GB at this cap.
+MAX_GRID_POINTS = 10**6
 
 
 class _SweepTable(NamedTuple):
@@ -141,7 +138,7 @@ def _evaluate_chunk(
     points: Sequence[SystemParams] | np.ndarray, quad: QuadratureSpec
 ) -> tuple[_SweepTable, SteadyStates]:
     weights = as_weights(points)
-    oracle, defined = peak_and_negativity_first_order(weights)
+    oracle = first_order_stack(weights)
     batch = steady_states(weights)
     solved = np.array([e is None for e in batch.errors], dtype=bool)
     # Measures are taken on the solved states only, which passed the
@@ -153,9 +150,9 @@ def _evaluate_chunk(
                            batch.center_vectors[solved])[1]
     # The measures of a refused point are nan and its Schmidt rank is 0;
     # its residual is nan already.
-    columns = {"epsilon": weights[:, _FIELDS.index("epsilon")],
-               "delta": weights[:, _FIELDS.index("delta")],
-               "s_rel_fo": oracle[:, 0], "negativity_fo": oracle[:, 1],
+    columns = {"epsilon": weights[:, PARAM_KEYS.index("epsilon")],
+               "delta": weights[:, PARAM_KEYS.index("delta")],
+               "s_rel_fo": oracle.s_rel_peak, "negativity_fo": oracle.negativity,
                "residual": batch.residuals}
     for name, values in {"max_s_rel": peak, "phi_at_max": phi_at_max,
                          "negativity": sector_negativity(x),
@@ -165,12 +162,12 @@ def _evaluate_chunk(
                                 dtype=values.dtype)
         columns[name][solved] = values
     statuses = ["ok"] * len(weights)
-    for i in np.flatnonzero(~(defined & solved)):
-        messages = [] if defined[i] else [f"oracle: {NO_STEADY_STATE}"]
+    for i in np.flatnonzero(~(oracle.defined & solved)):
+        messages = [] if oracle.defined[i] else [f"oracle: {NO_STEADY_STATE}"]
         if batch.errors[i] is not None:
             messages.append(f"solve: {batch.errors[i]}")
         statuses[i] = "; ".join(messages)
-    return _SweepTable(tuple(columns[name] for name in _RECORD_FIELDS if name != "status"),
+    return _SweepTable(tuple(columns[name] for name in SWEEP_CSV_HEADER.split(",")[:-1]),
                        statuses), batch
 
 
@@ -197,6 +194,15 @@ def _validate_range(name: str, lo: float, hi: float) -> None:
         raise ValueError(f"invalid {name} range [{lo}, {hi}]")
 
 
+def _check_steps(*steps: int) -> None:
+    """Refuse an axis of fewer than 2 steps, or more than MAX_GRID_POINTS points."""
+    if min(steps) < 2:
+        raise ValueError("need at least 2 steps" + " per axis" * (len(steps) > 1))
+    if math.prod(steps) > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {math.prod(steps)} points is larger than "
+                         f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+
+
 def _grid(base: SystemParams, **axes: np.ndarray) -> np.ndarray:
     """(N, 7) weights of base with the named fields over the product of axes.
 
@@ -206,7 +212,7 @@ def _grid(base: SystemParams, **axes: np.ndarray) -> np.ndarray:
     values = np.meshgrid(*axes.values(), indexing="ij")
     weights = np.tile(as_weights([base]), (values[0].size, 1))
     for name, axis in zip(axes, values):
-        weights[:, _FIELDS.index(name)] = axis.reshape(-1)
+        weights[:, PARAM_KEYS.index(name)] = axis.reshape(-1)
     check_weights(weights)
     return weights
 
@@ -220,8 +226,7 @@ def _arnold_table(
 ) -> _SweepTable:
     _validate_range("epsilon", *eps_range)
     _validate_range("delta", *delta_range)
-    if steps[0] < 2 or steps[1] < 2:
-        raise ValueError("need at least 2 steps per axis")
+    _check_steps(*steps)
     weights = _grid(base, epsilon=np.linspace(eps_range[0], eps_range[1], steps[0]),
                     delta=np.linspace(delta_range[0], delta_range[1], steps[1]))
     return _run_points(weights, quad)
@@ -250,8 +255,7 @@ def _balanced_cut_table(
         raise ValueError("cut is defined on resonance (delta = 0)")
     if not (0.0 < ratio_range[0] <= ratio_range[1] and np.isfinite(ratio_range[1])):
         raise ValueError(f"invalid ratio range {ratio_range}")
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
+    _check_steps(steps)
     weights = _grid(base, gamma_d_b=np.geomspace(ratio_range[0], ratio_range[1], steps))
     return _run_points(weights, quad)
 
@@ -286,7 +290,6 @@ def dynamics_trace(
     t_max: float,
     samples: int = 11,
     quad: QuadratureSpec = QuadratureSpec(),
-    dt: float | None = None,
 ) -> list[DynamicsRow]:
     """Evolve from both spins resting on their limit cycles, sampling measures.
 
@@ -295,16 +298,17 @@ def dynamics_trace(
     oracle peak alongside, nan where a decay rate of the oracle vanishes)
     and negativity.  The initial state lies in the k = 0 sector, the only
     sector that evolve steps, so every entry of a sample outside it is
-    exactly zero, and the samples are measured on their 19 sector entries.
+    exactly zero, and the samples are measured on their 19 sector entries,
+    CHUNK_SIZE samples at a time; each gets the same bits as alone.
     """
     rho0 = np.zeros((9, 9), dtype=complex)
     rho0[joint_index(0, 0), joint_index(0, 0)] = 1.0
-    traj = evolve(params, rho0, t_max, dt=dt, samples=samples)
+    traj = evolve(params, rho0, t_max, samples=samples)
     x = np.array(traj.states).reshape(len(traj.states), -1)[:, SECTOR_ENTRIES]
-    peaks = max_s_rel_stack(sector_s_rel(x, quad))[1]
-    negativities = sector_negativity(x)
-    oracle = first_order_stack(as_weights([params]), traj.times)
-    oracle_peaks = oracle.s_rel_peak if oracle.defined[0] else np.full(len(x), math.nan)
+    chunks = [x[start:start + CHUNK_SIZE] for start in range(0, len(x), CHUNK_SIZE)]
+    peaks = np.concatenate([max_s_rel_stack(sector_s_rel(c, quad))[1] for c in chunks])
+    negativities = np.concatenate([sector_negativity(c) for c in chunks])
+    oracle_peaks = first_order_stack(as_weights([params]), traj.times).s_rel_peak
     columns = (traj.times, peaks, oracle_peaks, negativities, traj.trace_errors)
     return [DynamicsRow(*row) for row in zip(*[c.tolist() for c in columns])]
 
@@ -355,7 +359,7 @@ def _write_csv(record_type, rows: Iterable[Sequence], path) -> None:
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
     """Write sweep records with the fixed column layout, 12 significant digits."""
-    _write_csv(SweepRecord, map(attrgetter(*_RECORD_FIELDS), records), path)
+    _write_csv(SweepRecord, map(attrgetter(*SWEEP_CSV_HEADER.split(",")), records), path)
 
 
 def write_dynamics_csv(rows: list[DynamicsRow], path) -> None:

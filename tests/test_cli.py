@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -357,6 +358,9 @@ class TestSweepCommands:
             (["--eps-min", "0.2"], "error: invalid epsilon range [0.2, 0.1]"),
             (["--delta-max", "inf"], "error: invalid delta range [-1.0, inf]"),
             (["--delta-min", "nan"], "error: invalid delta range [nan, 1.0]"),
+            # Refused before any axis is built, so at once.
+            (["--eps-steps", "100000", "--delta-steps", "100000"],
+             "error: a grid of 10000000000 points is larger than MAX_GRID_POINTS = 1000000"),
         ],
     )
     def test_sweep_refusal_lines(self, tmp_path, capsys, flags, message):
@@ -364,7 +368,9 @@ class TestSweepCommands:
         out = tmp_path / "x.csv"
         argv = ["sweep", "--config", cfg, "--out", str(out), "--eps-steps", "2",
                 "--delta-steps", "2", *flags]
+        start = time.perf_counter()
         assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
@@ -374,12 +380,16 @@ class TestSweepCommands:
             (["--gdb-min", "0"], "error: invalid ratio range (0.0, 199.0)"),
             (["--gdb-max", "0.5"], "error: invalid ratio range (1.0, 0.5)"),
             (["--steps", "1"], "error: need at least 2 steps"),
+            (["--steps", "1000000000000"],
+             "error: a grid of 1000000000000 points is larger than MAX_GRID_POINTS = 1000000"),
         ],
     )
     def test_scan_balanced_refusal_lines(self, tmp_path, capsys, flags, message):
         cfg = write_json(tmp_path, BALANCED_CONFIG)
         out = tmp_path / "x.csv"
+        start = time.perf_counter()
         assert main(["scan-balanced", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
@@ -455,6 +465,19 @@ class TestDynamicsCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: evolving to t = {float(t_max):g} takes {count} RK4 steps")
         assert err.endswith("more than MAX_STEPS = 1e+08\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "100001", "1000000000000"])
+    def test_sample_count_beyond_the_bound_is_an_error_line(self, tmp_path, capsys, samples):
+        # Refused before anything is allocated, so at once.
+        out = tmp_path / "x.csv"
+        argv = ["dynamics", "--config", write_json(tmp_path, FIG2_CONFIG), "--t-max", "5",
+                "--samples", samples, "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: samples must be between 1 and MAX_SAMPLES = 100000, got {samples}\n")
         assert not out.exists()
 
 
@@ -640,3 +663,25 @@ class TestRegressCommand:
             np.array([float(r["mutual_info"]) for r in rows]))
         assert main(["regress", "--in", sweep_csv, "--x", "delta", "--y", "mutual_info"]) == 0
         assert json.loads(capsys.readouterr().out) == dataclasses.asdict(want)
+
+
+class TestReadme:
+    """The README's config table and CSV headers against the code."""
+
+    TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def section(self, title):
+        start = self.TEXT.index(f"\n### {title}\n")
+        return self.TEXT[start:self.TEXT.index("\n#", start + 1)]
+
+    def test_config_table_lists_exactly_the_config_keys(self):
+        cells = [line.split("|")[1] for line in self.section("Config format").splitlines()
+                 if line.startswith("| `")]
+        keys = [key for cell in cells for key in re.findall(r"`(\w+)`", cell)]
+        assert keys == list(cli.PARAM_KEYS + cli.QUAD_KEYS)
+
+    def test_csv_header_blocks_are_the_headers(self):
+        # A header wrapped over lines reads as its lines joined.
+        blocks = re.findall(r"```\n(.*?)```", self.section("CSV columns"), re.S)
+        assert ["".join(block.split()) for block in blocks] == [SWEEP_CSV_HEADER,
+                                                                DYNAMICS_CSV_HEADER]

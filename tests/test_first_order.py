@@ -18,7 +18,7 @@ from spinsync import (
     s_rel_first_order,
     s_rel_peak_first_order,
 )
-from spinsync.first_order import SREL_COEFF, peak_and_negativity_first_order
+from spinsync.first_order import SREL_COEFF, first_order_stack
 from spinsync.liouvillian import as_weights
 from spinsync.operators import joint_index
 
@@ -175,7 +175,7 @@ class TestNegativityFirstOrder:
 
 
 class TestStackedOracle:
-    """peak_and_negativity_first_order against the single-point functions."""
+    """first_order_stack's peak and negativity against the single-point functions."""
 
     def test_bitwise_the_single_point_values(self):
         # Wide-range draws, the same draws with exact, signed-zero, tiny and
@@ -187,19 +187,37 @@ class TestStackedOracle:
         points += [SystemParams(gamma_g_a=0.0, gamma_d_b=0.0),
                    SystemParams(gamma_d_a=5e-324, gamma_g_b=0.0),
                    dataclasses.replace(DETUNED, gamma_g_a=0.0, gamma_d_b=0.0)]
-        values, defined = peak_and_negativity_first_order(as_weights(points))
-        for params, (peak, neg), ok in zip(points, values, defined):
+        stack = first_order_stack(as_weights(points))
+        for params, peak, neg, ok in zip(points, stack.s_rel_peak, stack.negativity,
+                                         stack.defined):
             try:
                 want = (s_rel_peak_first_order(params), negativity_first_order(params))
             except ValueError:
                 assert not ok and np.isnan(peak) and np.isnan(neg)
                 continue
             assert ok and np.array([peak, neg]).tobytes() == np.array(want).tobytes(), params
-        assert 0 < np.count_nonzero(~defined) < len(points)
+        assert 0 < np.count_nonzero(~stack.defined) < len(points)
+
+    def test_undefined_oracle_is_nan_at_steady_and_at_every_time(self):
+        # gamma_g_a = gamma_d_b = delta = 0 makes lam_minus vanish.
+        undefined = as_weights([SystemParams(gamma_g_a=0.0, gamma_d_b=0.0)])
+        steady = first_order_stack(undefined)
+        assert not steady.defined[0]
+        assert np.isnan(steady.s_rel_peak[0]) and np.isnan(steady.negativity[0])
+        times = np.linspace(0.0, 5.0, 11)
+        trace = first_order_stack(undefined, times)
+        assert trace.s_rel_peak.shape == trace.negativity.shape == (11,)
+        assert np.all(np.isnan(trace.s_rel_peak)) and np.all(np.isnan(trace.negativity))
+        # A defined point gets each time's single-point values, bit for bit.
+        trace = first_order_stack(as_weights([DETUNED]), times)
+        want = [(s_rel_peak_first_order(DETUNED, t), negativity_first_order(DETUNED, t))
+                for t in times.tolist()]
+        got = np.stack([trace.s_rel_peak, trace.negativity], axis=-1)
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_empty_stack(self):
-        values, defined = peak_and_negativity_first_order(np.empty((0, 7)))
-        assert values.shape == (0, 2) and defined.shape == (0,)
+        stack = first_order_stack(np.empty((0, 7)))
+        assert stack.s_rel_peak.shape == stack.negativity.shape == stack.defined.shape == (0,)
 
 
 class TestFirstOrderState:

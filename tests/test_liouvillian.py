@@ -1281,10 +1281,12 @@ class TestVerifiedInverse:
         assert bound[0] <= 1e-12
 
     @pytest.mark.parametrize("params, text", [
-        # LAPACK finds the square recurrent system exactly singular.
+        # LAPACK finds the square recurrent system exactly singular: its
+        # inverse is nan, which fails the verification.
         (SystemParams(gamma_g_a=1.8608356419093795e-06, gamma_g_b=0.0003270143868586035,
                       gamma_d_b=0.0, epsilon=6.45583110407614e-06, delta=19532466.295144875),
-         "its recurrent block has no inverse to verify (Singular matrix)"),
+         "the inverse of its recurrent block fails verification, ||I - X S|| <= nan "
+         "is not below 1"),
         (SystemParams(gamma_g_a=0.029417467502893997, gamma_g_b=0.0,
                       gamma_d_b=0.313344184191642, epsilon=0.03699464156086478,
                       delta=585013.2674741718),
@@ -1304,10 +1306,6 @@ class TestVerifiedInverse:
         assert str(error).startswith(NOT_UNIQUE + text)
         assert batch.errors[1] is None and math.isnan(batch.error_bounds[0])
         assert batch.sectors[1].tobytes() == steady_states([FIG2]).sectors[0].tobytes()
-        if text.startswith("its recurrent block"):
-            with pytest.raises(np.linalg.LinAlgError):
-                verified_sectors([params])
-            return
         _, e, bound = verified_sectors([params])
         if text.startswith("the inverse"):
             assert not e[0] < 1.0 and f"{e[0]:.3e} is not below 1" in str(error)
@@ -1406,6 +1404,14 @@ class TestEvolve:
         evolve(BALANCED, both_zero_density(), t_max=1.0, dt=1e-3, samples=3)
         with pytest.raises(ValueError, match=r"takes 1\.01e\+03 RK4 steps of dt <= 9\.9"):
             evolve(BALANCED, both_zero_density(), t_max=1.0, dt=0.99e-3, samples=3)
+
+    def test_sample_count_is_bounded(self, monkeypatch):
+        # MAX_SAMPLES samples are kept, one more is refused before the first step.
+        monkeypatch.setattr(liouvillian, "MAX_SAMPLES", 5)
+        assert len(evolve(BALANCED, both_zero_density(), t_max=0.01, samples=5).states) == 5
+        with pytest.raises(ValueError, match=(
+                r"samples must be between 1 and MAX_SAMPLES = 5, got 6")):
+            evolve(BALANCED, both_zero_density(), t_max=0.01, samples=6)
 
     @pytest.mark.parametrize("t_max", [1.0, 1e10])
     def test_huge_step_count_is_refused_at_once(self, t_max):

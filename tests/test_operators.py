@@ -295,8 +295,8 @@ class TestSectorLayout:
     def test_entries_are_the_excitation_conserving_ones(self):
         rows, cols = np.divmod(SECTOR_ENTRIES, 9)
         assert len(SECTOR_ENTRIES) == 19
-        # The engine's k = 0 block acts on x in this order.
-        assert np.array_equal(SECTOR_ENTRIES, EXCITATION_SECTORS[0])
+        # The engine's k = 0 block acts on x in this order: one layout.
+        assert SECTOR_ENTRIES is EXCITATION_SECTORS[0]
         assert all(self.M_TOTAL[r] == self.M_TOTAL[c] for r, c in zip(rows, cols))
 
     @settings(max_examples=30, deadline=None)

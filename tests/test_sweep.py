@@ -142,10 +142,10 @@ class TestChunkIsolation:
 
     def test_singular_inverse_is_pinned_on_its_point(self, monkeypatch):
         # LAPACK fails the whole stack for one singular member; make the
-        # square recurrent system of the point with delta = 0.777 singular.
-        # It is recognized by the rows below the trace row, those of its
-        # recurrent block.  The point is refused as not unique to double
-        # precision, and the others keep their records.
+        # square recurrent system of the point with delta = 0.777 singular,
+        # in a stack and alone.  It is recognized by the rows below the
+        # trace row, those of its recurrent block.  The point fails the
+        # verification, and the others keep their records.
         inv = np.linalg.inv
         points = [*self.POINTS, dataclasses.replace(FIG2, delta=0.777),
                   dataclasses.replace(FIG2, delta=0.5)]
@@ -155,7 +155,7 @@ class TestChunkIsolation:
         singular = singular.reshape(17, 17)[1:]
 
         def failing_inv(a):
-            if np.any(np.all(a[:, 1:] == singular, axis=(-2, -1))):
+            if np.any(np.all(a[..., 1:, :] == singular, axis=(-2, -1))):
                 raise np.linalg.LinAlgError("Singular matrix")
             return inv(a)
 
@@ -163,8 +163,8 @@ class TestChunkIsolation:
         monkeypatch.setattr(np.linalg, "inv", failing_inv)
         records = sweep._run_points(points, QuadratureSpec()).records()
         assert records[3].status == (
-            "solve: steady state is not unique to double precision: its recurrent "
-            "block has no inverse to verify (Singular matrix)")
+            "solve: steady state is not unique to double precision: the inverse of its "
+            "recurrent block fails verification, ||I - X S|| <= nan is not below 1")
         assert records[3].schmidt_rank == 0 and math.isnan(records[3].max_s_rel)
         for i in (0, 1, 2, 4):
             assert same_record(records[i], clean[i])
@@ -239,6 +239,8 @@ class TestArnoldSweep:
             ({"delta_range": (0.0, math.inf)}, "invalid delta range [0.0, inf]"),
             ({"delta_range": (1.0, -1.0)}, "invalid delta range [1.0, -1.0]"),
             ({"steps": (1, 3)}, "need at least 2 steps per axis"),
+            ({"steps": (1001, 1000)},
+             "a grid of 1001000 points is larger than MAX_GRID_POINTS = 1000000"),
         ],
     )
     def test_refusal_messages(self, kwargs, message):
@@ -328,6 +330,8 @@ class TestBalancedCutScan:
             (BALANCED, {"ratio_range": (10.0, 1.0)}, "invalid ratio range (10.0, 1.0)"),
             (BALANCED, {"ratio_range": (1.0, math.inf)}, "invalid ratio range (1.0, inf)"),
             (BALANCED, {"steps": 1}, "need at least 2 steps"),
+            (BALANCED, {"steps": 10**6 + 1},
+             "a grid of 1000001 points is larger than MAX_GRID_POINTS = 1000000"),
         ],
     )
     def test_refusal_messages(self, base, kwargs, message):
@@ -338,6 +342,18 @@ class TestBalancedCutScan:
     def test_jobs_keyword_is_removed(self):
         with pytest.raises(TypeError, match="jobs"):
             balanced_cut_scan(BALANCED, steps=3, jobs=2)
+
+    def test_grid_size_is_bounded(self, monkeypatch):
+        # Grids of MAX_GRID_POINTS points are evaluated, larger ones refused.
+        monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 6)
+        assert len(arnold_sweep(FIG2, steps=(2, 3))) == 6
+        assert len(balanced_cut_scan(BALANCED, steps=6)) == 6
+        with pytest.raises(ValueError, match="a grid of 8 points is larger than "
+                                             "MAX_GRID_POINTS = 6"):
+            arnold_sweep(FIG2, steps=(2, 4))
+        with pytest.raises(ValueError, match="a grid of 7 points is larger than "
+                                             "MAX_GRID_POINTS = 6"):
+            balanced_cut_scan(BALANCED, steps=7)
 
 
 class TestDynamicsTrace:
@@ -396,6 +412,16 @@ class TestDynamicsTrace:
                 want = s_rel_peak_first_order(params, row.t)
                 assert np.float64(row.s_rel_peak_oracle).tobytes() == np.float64(want).tobytes()
             assert rows[-1].s_rel_peak_oracle > 0.0
+
+    def test_chunk_size_does_not_change_rows(self, monkeypatch):
+        # 11 samples measured in chunks of 1, 4 and the default size get
+        # the same bits.
+        rows = []
+        for size in (1, 4, sweep.CHUNK_SIZE):
+            monkeypatch.setattr(sweep, "CHUNK_SIZE", size)
+            trace = sweep.dynamics_trace(FIG2, t_max=0.5, samples=11)
+            rows.append(np.array([dataclasses.astuple(row) for row in trace]).tobytes())
+        assert rows[0] == rows[1] == rows[2]
 
     def test_undefined_oracle_is_nan(self):
         # gamma_g_a = gamma_d_b = delta = 0 make lam_minus vanish; the
