@@ -53,8 +53,11 @@ def load_config(path: str) -> tuple[SystemParams, QuadratureSpec]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and an integer literal beyond Python's digit limit.
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -66,6 +69,12 @@ def load_config(path: str) -> tuple[SystemParams, QuadratureSpec]:
             raise ConfigError(f"config key {key} must be a number, got {value!r}")
         if key in QUAD_KEYS and isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+        if key in PARAM_KEYS:
+            try:
+                float(value)
+            except OverflowError:
+                # A JSON integer literal is exact and may exceed the float range.
+                raise ConfigError(f"config key {key} is too large for a float") from None
     try:
         params = SystemParams(
             **{k: float(raw[k]) for k in PARAM_KEYS if k in raw}

@@ -66,6 +66,7 @@ from .operators import (
     m_block_eigensystem,
     sector_matrix,
     sector_state_errors,
+    sector_trace,
     spin1_operators,
     validate_density_matrix,
 )
@@ -110,11 +111,20 @@ _weights = attrgetter(*PARAM_KEYS)
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled time evolution: times and the matching 9x9 states."""
+    """Sampled time evolution: times, each sample's parts in sectors, trace errors.
+
+    sectors[k] (samples, n_k) is the part over _SECTORS[k], k = 0..4; the part
+    in -k is its adjoint.  A sector where rho0 is zero has no columns.
+    """
 
     times: np.ndarray
-    states: list[np.ndarray] = field(repr=False)
+    sectors: tuple[np.ndarray, ...] = field(repr=False)
     trace_errors: np.ndarray = field(repr=False)
+
+    @property
+    def states(self) -> np.ndarray:
+        """The samples as 9x9 matrices, (samples, 9, 9)."""
+        return sector_matrix(*self.sectors)
 
 
 # The sectors k = 0..4 of operators.EXCITATION_SECTORS.  _ADJOINTS[k][j] is
@@ -535,8 +545,8 @@ MAX_STATE_NORM = 1e3
 MAX_STEPS = 1e8
 """Most RK4 steps one evolve call may take; a longer run is refused up front."""
 
-# Every sample is kept: spinsync dynamics peaks at 91 MB with 20001 samples
-# and at 327 MB with this many, about 3 KB a sample.
+# Every sample is kept: spinsync dynamics peaks at 46 MB with 20001 samples
+# and at 100 MB with this many, about 0.7 KB a sample with its measures.
 MAX_SAMPLES = 10**5
 """Most samples one evolve call may keep; more are refused up front."""
 
@@ -548,12 +558,13 @@ def evolve(params: SystemParams, rho0: np.ndarray, t_max: float, dt: float | Non
     rho0 is Hermitized first, exactly so, as L preserves Hermiticity.  Each
     sector k = 0..4 where rho0 is nonzero is stepped with its own block's
     RK4 step matrix; the part in sector -k is the adjoint of the part in +k,
-    and a sector where rho0 is zero stays exactly zero.  States are
-    re-Hermitized at the sample points.  dt is an upper bound on the step;
+    and a sector where rho0 is zero stays exactly zero.  Samples are kept
+    by sectors, the k = 0 part Hermitized entry by entry as its 9x9 matrix
+    would be; t_max = 0 gives one sample.  dt is an upper bound on the step;
     the actual step evenly divides the sampling interval.  More than
     MAX_SAMPLES samples or MAX_STEPS steps are refused with ValueError
-    before the first step, and a trace drift beyond 1e-6 or a norm blow-up
-    aborts with IntegrationStepError.
+    before anything is allocated, and a trace drift beyond 1e-6 or a norm
+    blow-up aborts with IntegrationStepError.
     """
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ValueError("t_max must be finite and >= 0")
@@ -566,14 +577,11 @@ def evolve(params: SystemParams, rho0: np.ndarray, t_max: float, dt: float | Non
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
     rho0 = 0.5 * (rho0 + rho0.conj().T)
-
-    if t_max == 0.0 or samples == 1:
-        return Trajectory(times=np.array([0.0]), states=[rho0],
-                          trace_errors=np.array([abs(np.trace(rho0).real - 1.0)]))
+    samples = samples if t_max > 0.0 else 1
 
     # Counted in Python floats, before anything is allocated, so that an
     # overflowing count is refused like a large one.
-    seg, dt = float(t_max) / (samples - 1), float(dt)
+    seg, dt = (float(t_max) / (samples - 1) if samples > 1 else 0.0), float(dt)
     n_sub = max(1.0, np.ceil(seg / dt - 1e-12))
     if not n_sub * (samples - 1) <= MAX_STEPS:
         raise ValueError(f"evolving to t = {t_max:g} takes {n_sub * (samples - 1):.3g} "
@@ -585,36 +593,27 @@ def evolve(params: SystemParams, rho0: np.ndarray, t_max: float, dt: float | Non
     vec = rho0.reshape(-1)
     parts = {k: vec[sector] for k, sector in enumerate(_SECTORS) if np.any(vec[sector])}
     steps = {k: _rk4_step_matrix(_sector_block(params, k), h) for k in parts}
-    states, trace_errors = [], np.empty(samples)
-
-    def record(index: int) -> None:
-        out = np.zeros(81, dtype=complex)
-        for k, part in parts.items():
-            out[_SECTORS[k]] = part
-            if k:
-                out[_ADJOINTS[k]] = part.conj()
-        rho = out.reshape(9, 9)
-        rho = 0.5 * (rho + rho.conj().T)
-        states.append(rho)
-        trace_errors[index] = abs(np.trace(rho).real - 1.0)
-
-    record(0)
+    sectors = tuple(np.empty((samples, len(sector) if k in parts else 0), dtype=complex)
+                    for k, sector in enumerate(_SECTORS))
+    trace_errors = np.empty(samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, samples):
+        for i in range(samples):
             for k, step in steps.items():
                 part = parts[k]
-                for _ in range(n_sub):
+                for _ in range(n_sub if i else 0):
                     part = step @ part
                 # Written so that a nan entry fails the test too.
                 if not np.max(np.abs(part)) <= MAX_STATE_NORM:
                     raise IntegrationStepError(f"state norm blew up by t = {times[i]:.3g}; "
                                                f"use a smaller step than dt = {h:.3e}")
                 parts[k] = part
-            record(i)
+            for k, part in parts.items():
+                sectors[k][i] = 0.5 * (part + part[SECTOR_ADJOINT].conj()) if k == 0 else part
+            trace_errors[i] = abs(sector_trace(sectors[0][i]).real - 1.0)
             if trace_errors[i] > MAX_TRACE_DRIFT:
                 raise IntegrationStepError(
                     f"trace drift {trace_errors[i]:.3e} at t = {times[i]:.3g} "
                     f"exceeds {MAX_TRACE_DRIFT:.1e}; use a smaller step than dt = {h:.3e}"
                 )
 
-    return Trajectory(times=times, states=states, trace_errors=trace_errors)
+    return Trajectory(times=times, sectors=sectors, trace_errors=trace_errors)

@@ -251,10 +251,18 @@ def m_block_eigensystem(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.concatenate(small + [center], axis=-1), ratios, vectors
 
 
-def sector_matrix(x: np.ndarray) -> np.ndarray:
-    """The 9x9 matrices (..., 9, 9) of sector states x (..., 19)."""
+def sector_matrix(x: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+    """The 9x9 matrices (..., 9, 9) of states held by their parts in sectors.
+
+    x (..., 19) is the k = 0 part and parts[k - 1] the part in sector +k, whose
+    conjugate is the part in -k; a part with no columns, or none given, is zero.
+    """
     vec = np.zeros(x.shape[:-1] + (PAIR_DIM**2,), dtype=complex)
     vec[..., SECTOR_ENTRIES] = x
+    for sector, part in zip(EXCITATION_SECTORS[1::2], parts):
+        if part.shape[-1]:
+            vec[..., sector] = part
+            vec[..., adjoint_index(sector)] = part.conj()
     return vec.reshape(x.shape[:-1] + (PAIR_DIM, PAIR_DIM))
 
 

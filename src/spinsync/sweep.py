@@ -7,7 +7,8 @@ first-order oracle and one stacked call per measure for each chunk.  Each
 solved state is carried as its 19 k = 0 entries, and the measures run on
 its blocks (see correlations); a 9x9 matrix is built only for the state
 evaluate_point returns.  A chunk's results are kept as columns, from
-which the CLI formats CSV rows; SweepRecord objects are built only where
+which the CLI formats CSV rows, converting, formatting and writing
+CHUNK_SIZE rows at a time; SweepRecord objects are built only where
 arnold_sweep, balanced_cut_scan and evaluate_point return them, and
 write_sweep_csv formats them with the same row template.  Every point gets
 the same bits whatever chunk it lands in, and results are always emitted
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -43,7 +45,7 @@ from .liouvillian import (
     evolve,
     steady_states,
 )
-from .operators import SECTOR_ENTRIES, joint_index
+from .operators import joint_index
 from .phasespace import QuadratureSpec, max_s_rel_stack, sector_s_rel
 
 
@@ -107,8 +109,9 @@ DYNAMICS_CSV_HEADER = _csv_schema(DynamicsRow)[0]
 CHUNK_SIZE = 128
 
 # The largest sweep or scan grid.  Every point's results are held until the
-# CSV is written: spinsync sweep peaks at 43 MB on 101x101 points and at
-# 127 MB on 301x301, about 1.1 KB a point, some 1.1 GB at this cap.
+# CSV is written, CHUNK_SIZE rows at a time: spinsync sweep peaks at 37 MB
+# on 101x101 points and at 56 MB on 301x301, about 0.25 KB a point, some
+# 280 MB at this cap.
 MAX_GRID_POINTS = 10**6
 
 
@@ -123,8 +126,13 @@ class _SweepTable(NamedTuple):
     statuses: list[str]
 
     def rows(self) -> Iterator[tuple]:
-        """Each point's SweepRecord field values, in field order."""
-        return zip(*[c.tolist() for c in self.columns], self.statuses)
+        """Each point's SweepRecord field values, in field order.
+
+        The columns are converted to Python values CHUNK_SIZE rows at a time.
+        """
+        for start in range(0, len(self.statuses), CHUNK_SIZE):
+            block = slice(start, start + CHUNK_SIZE)
+            yield from zip(*[c[block].tolist() for c in self.columns], self.statuses[block])
 
     def records(self) -> list[SweepRecord]:
         return [SweepRecord(*row) for row in self.rows()]
@@ -297,14 +305,14 @@ def dynamics_trace(
     sampled state is scored by its relative-phase peak (with the transient
     oracle peak alongside, nan where a decay rate of the oracle vanishes)
     and negativity.  The initial state lies in the k = 0 sector, the only
-    sector that evolve steps, so every entry of a sample outside it is
-    exactly zero, and the samples are measured on their 19 sector entries,
-    CHUNK_SIZE samples at a time; each gets the same bits as alone.
+    sector that evolve steps, and the samples are measured on their 19
+    entries there, Trajectory.sectors[0], CHUNK_SIZE samples at a time;
+    each gets the same bits as alone.
     """
     rho0 = np.zeros((9, 9), dtype=complex)
     rho0[joint_index(0, 0), joint_index(0, 0)] = 1.0
     traj = evolve(params, rho0, t_max, samples=samples)
-    x = np.array(traj.states).reshape(len(traj.states), -1)[:, SECTOR_ENTRIES]
+    x = traj.sectors[0]
     chunks = [x[start:start + CHUNK_SIZE] for start in range(0, len(x), CHUNK_SIZE)]
     peaks = np.concatenate([max_s_rel_stack(sector_s_rel(c, quad))[1] for c in chunks])
     negativities = np.concatenate([sector_negativity(c) for c in chunks])
@@ -344,17 +352,21 @@ def linear_regression(xs, ys) -> RegressionResult:
 def _write_csv(record_type, rows: Iterable[Sequence], path) -> None:
     """Write rows of a record type's field values, in field order, as CSV.
 
-    Commas and newlines in text fields become semicolons and spaces.
+    Commas and newlines in text fields become semicolons and spaces.  The
+    rows are formatted and written CHUNK_SIZE at a time.
     """
     header, template = _csv_schema(record_type)
     kinds = [f.type for f in fields(record_type)]
-    items = [value for row in rows for value in row]
-    for j in [j for j, kind in enumerate(kinds) if kind == "str"]:
-        items[j::len(kinds)] = [text.replace(",", ";").replace("\n", " ")
-                                for text in items[j::len(kinds)]]
+    texts = [j for j, kind in enumerate(kinds) if kind == "str"]
+    rows = iter(rows)
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n" + "".join([template + "\n"] * (len(items) // len(kinds)))
-                 % tuple(items))
+        fh.write(header + "\n")
+        while block := list(islice(rows, CHUNK_SIZE)):
+            items = [value for row in block for value in row]
+            for j in texts:
+                items[j::len(kinds)] = [text.replace(",", ";").replace("\n", " ")
+                                        for text in items[j::len(kinds)]]
+            fh.write("".join([template + "\n"] * len(block)) % tuple(items))
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:

@@ -6,12 +6,17 @@ module tests and the acceptance suite share one computation.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import spinsync
 from spinsync import (
     QuadratureSpec,
     SystemParams,
@@ -138,6 +143,37 @@ def extreme_params(draw):
         delta=signed(),
         omega_ref=signed(),
     )
+
+
+# Run in a fresh interpreter: spinsync.cli.main on the argv after -c, then
+# this process's peak resident set, VmHWM, in kB.
+_PEAK_SCRIPT = (
+    "import sys\n"
+    "from spinsync.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+    "sys.exit(code)\n"
+)
+
+
+def cli_peak_memory_kb(argv: list[str]) -> int:
+    """Peak resident memory, VmHWM in kB, of spinsync.cli.main(argv) in a fresh process.
+
+    The process runs at one OpenBLAS thread and reads VmHWM from its own
+    /proc/self/status after main returns; getrusage's ru_maxrss is not used,
+    as it can carry a high-water mark across exec.  Skips the calling test
+    where /proc/self/status is missing.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    package_root = str(Path(spinsync.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 @pytest.fixture(scope="session")

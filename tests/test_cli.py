@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import wide_range_params
+from conftest import cli_peak_memory_kb, wide_range_params
 
 import spinsync
 from spinsync import SystemParams, negativity
@@ -177,6 +177,24 @@ class TestConfigHandling:
         cfg = write_json(tmp_path, {"gamma_g_a": -1.0})
         assert main(["steady", "--config", cfg]) == 1
         assert "gamma_g_a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("digits, message", [
+        (400, "config key epsilon is too large for a float\n"),
+        (5000, "config {path} is not valid JSON: Exceeds the limit"),
+    ])
+    def test_huge_integer_literal(self, tmp_path, capsys, digits, message):
+        # JSON integers are exact: 401 digits exceed the float range, and
+        # 5001 exceed the digits Python converts from text.
+        path = tmp_path / "config.json"
+        path.write_text('{"epsilon": 1' + "0" * digits + "}")
+        assert main(["steady", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100000)
+        assert main(["steady", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config {path} is nested too deeply to parse\n"
 
     def test_quadrature_keys_are_honored(self, tmp_path):
         cfg = write_json(tmp_path, dict(BALANCED_CONFIG, n_theta=7))
@@ -467,6 +485,15 @@ class TestDynamicsCommand:
         assert err.endswith("more than MAX_STEPS = 1e+08\n") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_zero_horizon_writes_one_row(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, BALANCED_CONFIG)
+        out = tmp_path / "dyn.csv"
+        argv = ["dynamics", "--config", cfg, "--t-max", "0", "--samples", "11", "--out", str(out)]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["t"] for row in rows] == ["0"]
+        assert read_summary(capsys)["samples"] == 1
+
     @pytest.mark.parametrize("samples", ["0", "100001", "1000000000000"])
     def test_sample_count_beyond_the_bound_is_an_error_line(self, tmp_path, capsys, samples):
         # Refused before anything is allocated, so at once.
@@ -479,6 +506,33 @@ class TestDynamicsCommand:
         assert capsys.readouterr().err == (
             f"error: samples must be between 1 and MAX_SAMPLES = 100000, got {samples}\n")
         assert not out.exists()
+
+
+class TestPeakMemory:
+    """Peak resident memory through the CLI, each run in a fresh process.
+
+    The growth from a small run to a large one is what the program holds
+    per sample or per point; the interpreter and numpy account for the
+    rest, about 33 MB.
+    """
+
+    def test_dynamics_holds_samples_by_sector(self, tmp_path):
+        # 20001 samples from |0,0> hold 19 complex entries each, 304 bytes;
+        # 9x9 matrices held per sample grew the peak by 58 MB.
+        cfg = write_json(tmp_path, BALANCED_CONFIG)
+        peaks = [cli_peak_memory_kb(["dynamics", "--config", cfg, "--t-max", "2",
+                                     "--samples", samples, "--out", str(tmp_path / "d.csv")])
+                 for samples in ("11", "20001")]
+        assert peaks[1] - peaks[0] < 25 * 1024
+
+    def test_sweep_writes_its_csv_in_blocks(self, tmp_path):
+        # 201x201 points against 11x11; formatting the whole CSV at once
+        # grew the peak by 40 MB.
+        cfg = write_json(tmp_path, FIG2_CONFIG)
+        peaks = [cli_peak_memory_kb(["sweep", "--config", cfg, "--eps-steps", steps,
+                                     "--delta-steps", steps, "--out", str(tmp_path / "s.csv")])
+                 for steps in ("11", "201")]
+        assert peaks[1] - peaks[0] < 20 * 1024
 
 
 @pytest.mark.parametrize(

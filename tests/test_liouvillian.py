@@ -1398,6 +1398,23 @@ class TestEvolve:
         assert np.max(np.abs(traj.trace_errors - np.abs(np.trace(
             want, axis1=1, axis2=2).real - 1.0))) <= 1e-12
 
+    def test_all_five_sectors_round_trip_through_states(self):
+        # A random Hermitian rho0 occupies every sector.  Each +k part sits
+        # at its sector of the 9x9 states bit for bit, its conjugate at the
+        # adjoint entries, and the first sample is rho0.
+        params = SystemParams(gamma_g_a=1.3, gamma_d_b=0.6, epsilon=0.1, delta=0.4,
+                              omega_ref=2.5)
+        rho0 = random_density(np.random.default_rng(23), 9)
+        traj = evolve(params, rho0, t_max=0.5, dt=1e-3, samples=3)
+        flat = traj.states.reshape(3, 81)
+        for sector, adjoint, part in zip(liouvillian._SECTORS, liouvillian._ADJOINTS,
+                                         traj.sectors):
+            assert part.shape == (3, len(sector)) and np.all(part[0] != 0.0)
+            assert flat[:, sector].tobytes() == part.tobytes()
+            assert np.array_equal(flat[:, adjoint], part.conj())
+        assert np.array_equal(traj.states[0], 0.5 * (rho0 + rho0.conj().T))
+        assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
+
     def test_step_count_is_bounded(self, monkeypatch):
         # MAX_STEPS steps are taken, one more is refused before the first.
         monkeypatch.setattr(liouvillian, "MAX_STEPS", 1000)

@@ -379,11 +379,12 @@ class TestDynamicsTrace:
         assert all(row.trace_error <= 1e-8 for row in fig2_dynamics)
 
     def test_samples_outside_the_sector_are_exactly_zero(self, monkeypatch):
-        # The samples are measured on their k = 0 entries.  evolve steps
-        # only the sectors where |0,0> is nonzero, so every other entry of
-        # every sample is exactly zero, at any omega_ref.  Inside the sector
-        # only the populations of |+1,+1> and |-1,-1>, which nothing feeds,
-        # stay zero.
+        # The samples are measured on their k = 0 entries, sectors[0].
+        # evolve steps only the sectors where |0,0> is nonzero, so the
+        # others have no columns, and the 9x9 states hold sectors[0] bit for
+        # bit, are exactly Hermitian and are +0 everywhere else, at any
+        # omega_ref.  Inside the sector only the populations of |+1,+1> and
+        # |-1,-1>, which nothing feeds, stay zero.
         evolve = sweep.evolve
         trajectories = []
 
@@ -393,9 +394,16 @@ class TestDynamicsTrace:
 
         monkeypatch.setattr(sweep, "evolve", recording)
         sweep.dynamics_trace(dataclasses.replace(FIG2, omega_ref=3.0), t_max=0.05, samples=3)
-        flat = np.array(trajectories[0].states).reshape(3, -1)
+        traj = trajectories[0]
+        assert [part.shape for part in traj.sectors] == [(3, 19)] + [(3, 0)] * 4
+        states = traj.states
+        flat = states.reshape(3, -1)
+        assert flat[:, SECTOR_ENTRIES].tobytes() == traj.sectors[0].tobytes()
         assert np.count_nonzero(flat[-1, SECTOR_ENTRIES]) == 17
-        assert not np.any(np.delete(flat, SECTOR_ENTRIES, axis=-1))
+        assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+        outside = np.delete(flat, SECTOR_ENTRIES, axis=-1)
+        assert not np.any(outside)
+        assert not np.any(np.signbit(outside.real) | np.signbit(outside.imag))
 
     def test_sample_count_and_spacing(self, fig2_dynamics):
         times = [row.t for row in fig2_dynamics]
