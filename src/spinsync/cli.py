@@ -25,14 +25,12 @@ import numpy as np
 from .liouvillian import PARAM_KEYS, SystemParams
 from .phasespace import QuadratureSpec
 from .sweep import (
-    SWEEP_CSV_HEADER,
     SweepRecord,
     _arnold_table,
     _balanced_cut_table,
-    dynamics_trace,
+    _dynamics_table,
     evaluate_point,
     linear_regression,
-    write_dynamics_csv,
 )
 
 # A dynamics sample whose oracle peak is at most this is quiet: no relative
@@ -156,13 +154,9 @@ def _fit(x: np.ndarray, y: np.ndarray) -> dict:
         return {"error": str(exc)}
 
 
-# Where each SweepRecord field but status sits in _SweepTable.columns.
-_COLUMN = {name: j for j, name in enumerate(SWEEP_CSV_HEADER.split(","))}
-
-
 def _table_counts(table, start: float) -> tuple[np.ndarray, dict]:
     """The mask of a table's ok rows, and its point and failure counts and time."""
-    ok = np.array([status == "ok" for status in table.statuses], dtype=bool)
+    ok = table.column("status") == "ok"
     return ok, {"points": len(ok), "failed": int(np.count_nonzero(~ok)),
                 "seconds": time.perf_counter() - start}
 
@@ -206,8 +200,6 @@ def _cmd_steady(args) -> int:
 def _cmd_sweep(args) -> int:
     start = time.perf_counter()
     params, quad = load_config(args.config)
-    # Rows are written from the evaluated columns, with no SweepRecord
-    # objects; the file is what write_sweep_csv(arnold_sweep(...)) writes.
     table = _arnold_table(
         params,
         eps_range=(args.eps_min, args.eps_max),
@@ -217,8 +209,8 @@ def _cmd_sweep(args) -> int:
     )
     table.write(args.out)
     ok, counts = _table_counts(table, start)
-    peaks = table.columns[_COLUMN["max_s_rel"]][ok]
-    _summary(**counts, fits={name: _fit(table.columns[_COLUMN[name]][ok], peaks)
+    peaks = table.column("max_s_rel")[ok]
+    _summary(**counts, fits={name: _fit(table.column(name)[ok], peaks)
                              for name in ("negativity", "mutual_info")})
     return 0
 
@@ -234,7 +226,7 @@ def _cmd_scan_balanced(args) -> int:
     ok, counts = _table_counts(table, start)
     # The scan's own grid, walked over its ok rows.
     gamma_d_b = np.geomspace(args.gdb_min, args.gdb_max, args.steps)[ok].tolist()
-    ranks = table.columns[_COLUMN["schmidt_rank"]][ok].tolist()
+    ranks = table.column("schmidt_rank")[ok].tolist()
     _summary(**counts, rank_drops=[
         {"after_gamma_d_b": gamma_d_b[i - 1], "to_rank": ranks[i]}
         for i in range(1, len(ranks)) if ranks[i] < ranks[i - 1]])
@@ -244,14 +236,14 @@ def _cmd_scan_balanced(args) -> int:
 def _cmd_dynamics(args) -> int:
     start = time.perf_counter()
     params, quad = load_config(args.config)
-    rows = dynamics_trace(params, t_max=args.t_max, samples=args.samples,
-                          quad=quad)
-    write_dynamics_csv(rows, args.out)
+    table = _dynamics_table(params, args.t_max, args.samples, quad)
+    table.write(args.out)
+    peak, oracle = table.column("s_rel_peak"), table.column("s_rel_peak_oracle")
     # An undefined oracle is nan, which fails the comparison and is skipped.
-    deviations = [abs(row.s_rel_peak - row.s_rel_peak_oracle) / abs(row.s_rel_peak_oracle)
-                  for row in rows if abs(row.s_rel_peak_oracle) > _QUIET_ORACLE]
-    _summary(samples=len(rows), seconds=time.perf_counter() - start,
-             max_oracle_rel_dev=max(deviations, default=None))
+    loud = np.abs(oracle) > _QUIET_ORACLE
+    deviations = np.abs(peak[loud] - oracle[loud]) / np.abs(oracle[loud])
+    _summary(samples=len(peak), seconds=time.perf_counter() - start,
+             max_oracle_rel_dev=max(deviations.tolist(), default=None))
     return 0
 
 

@@ -251,11 +251,23 @@ _REAL_BASIS = _REAL_FORM[:, _REAL_ENTRIES]
 # the recurrent class of the other 17 coordinates (Baumgartner and
 # Narnhofer, Rev. Math. Phys. 24, 1250001 (2012)), whose block R_rr holds
 # 58 of the 64 entries, _RECURRENT_FROM, at its flat positions _RECURRENT_AT.
-_RECURRENT = np.setdiff1d(np.arange(19), (0, _POPULATIONS - 1))
+# They are found by index arithmetic: np.setdiff1d and np.intersect1d give
+# the same arrays but import numpy.ma, some 10 ms of CPU at every start-up
+# on a 2-core Xeon VM.
+_RECURRENT = np.delete(np.arange(19), (0, _POPULATIONS - 1))
 _RECURRENT_POPULATIONS = _POPULATIONS - 2
-_RECURRENT_AT, _RECURRENT_FROM = np.intersect1d(
-    np.arange(19 * 19).reshape(19, 19)[np.ix_(_RECURRENT, _RECURRENT)], _REAL_ENTRIES,
-    return_indices=True)[1:]
+
+
+def _recurrent_entries() -> tuple[np.ndarray, np.ndarray]:
+    """(_RECURRENT_AT, _RECURRENT_FROM): where R_rr's entries sit, and which they are."""
+    position = np.full(19, -1)
+    position[_RECURRENT] = np.arange(len(_RECURRENT))
+    row, col = (position[i] for i in np.divmod(_REAL_ENTRIES, 19))
+    inside = np.flatnonzero((row >= 0) & (col >= 0))
+    return row[inside] * len(_RECURRENT) + col[inside], inside
+
+
+_RECURRENT_AT, _RECURRENT_FROM = _recurrent_entries()
 
 STATE_TOL = 1e-8
 """Largest certified error max|y - y_exact| of an accepted steady state."""
@@ -545,8 +557,8 @@ MAX_STATE_NORM = 1e3
 MAX_STEPS = 1e8
 """Most RK4 steps one evolve call may take; a longer run is refused up front."""
 
-# Every sample is kept: spinsync dynamics peaks at 46 MB with 20001 samples
-# and at 100 MB with this many, about 0.7 KB a sample with its measures.
+# Every sample is kept: spinsync dynamics peaks at 40 MB with 20001 samples
+# and at 72 MB with this many, about 0.4 KB a sample with its measures.
 MAX_SAMPLES = 10**5
 """Most samples one evolve call may keep; more are refused up front."""
 

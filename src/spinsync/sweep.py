@@ -6,16 +6,16 @@ measured in chunks of CHUNK_SIZE points: one stacked solve, one stacked
 first-order oracle and one stacked call per measure for each chunk.  Each
 solved state is carried as its 19 k = 0 entries, and the measures run on
 its blocks (see correlations); a 9x9 matrix is built only for the state
-evaluate_point returns.  A chunk's results are kept as columns, from
-which the CLI formats CSV rows, converting, formatting and writing
-CHUNK_SIZE rows at a time; SweepRecord objects are built only where
-arnold_sweep, balanced_cut_scan and evaluate_point return them, and
-write_sweep_csv formats them with the same row template.  Every point gets
-the same bits whatever chunk it lands in, and results are always emitted
-in deterministic grid order (epsilon-major for the tongue sweep), so CSV
-bodies are byte-identical regardless of chunk size.  A failing point is
-recorded in its row's status field and never aborts a sweep or affects
-the other points.
+evaluate_point returns.  Point and dynamics sample results alike are kept
+as the columns of a _Table, from which the CLI writes CSV rows CHUNK_SIZE
+at a time and takes its summaries; record objects are built only where
+arnold_sweep, balanced_cut_scan, evaluate_point and dynamics_trace return
+them, and write_sweep_csv and write_dynamics_csv format them with the same
+row template.  Every point gets the same bits whatever chunk it lands in,
+and results are always emitted in deterministic grid order (epsilon-major
+for the tongue sweep), so CSV bodies are byte-identical regardless of
+chunk size.  A failing point is recorded in its row's status field and
+never aborts a sweep or affects the other points.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import islice
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,36 +114,40 @@ CHUNK_SIZE = 128
 MAX_GRID_POINTS = 10**6
 
 
-class _SweepTable(NamedTuple):
-    """Evaluated points as columns.
+@dataclass(frozen=True)
+class _Table:
+    """Rows of a record type as columns: a sweep, a scan or a dynamics trace.
 
-    columns holds one array per SweepRecord field but status, in field
-    order; statuses holds the status texts.
+    columns holds one array per field of record_type, in field order, the
+    status texts as an object array of str; records() builds the records.
     """
 
+    record_type: type
     columns: tuple[np.ndarray, ...]
-    statuses: list[str]
+
+    def column(self, name: str) -> np.ndarray:
+        return self.columns[[f.name for f in fields(self.record_type)].index(name)]
 
     def rows(self) -> Iterator[tuple]:
-        """Each point's SweepRecord field values, in field order.
+        """Each row's field values, in field order.
 
         The columns are converted to Python values CHUNK_SIZE rows at a time.
         """
-        for start in range(0, len(self.statuses), CHUNK_SIZE):
+        for start in range(0, len(self.columns[0]), CHUNK_SIZE):
             block = slice(start, start + CHUNK_SIZE)
-            yield from zip(*[c[block].tolist() for c in self.columns], self.statuses[block])
+            yield from zip(*[c[block].tolist() for c in self.columns])
 
-    def records(self) -> list[SweepRecord]:
-        return [SweepRecord(*row) for row in self.rows()]
+    def records(self) -> list:
+        return [self.record_type(*row) for row in self.rows()]
 
     def write(self, path) -> None:
-        """Write the table as write_sweep_csv writes its records."""
-        _write_csv(SweepRecord, self.rows(), path)
+        """Write the table as write_sweep_csv or write_dynamics_csv writes its records."""
+        _write_csv(self.record_type, self.rows(), path)
 
 
 def _evaluate_chunk(
     points: Sequence[SystemParams] | np.ndarray, quad: QuadratureSpec
-) -> tuple[_SweepTable, SteadyStates]:
+) -> tuple[_Table, SteadyStates]:
     weights = as_weights(points)
     oracle = first_order_stack(weights)
     batch = steady_states(weights)
@@ -169,14 +172,13 @@ def _evaluate_chunk(
         columns[name] = np.full(len(weights), 0 if name == "schmidt_rank" else math.nan,
                                 dtype=values.dtype)
         columns[name][solved] = values
-    statuses = ["ok"] * len(weights)
+    columns["status"] = np.full(len(weights), "ok", dtype=object)
     for i in np.flatnonzero(~(oracle.defined & solved)):
         messages = [] if oracle.defined[i] else [f"oracle: {NO_STEADY_STATE}"]
         if batch.errors[i] is not None:
             messages.append(f"solve: {batch.errors[i]}")
-        statuses[i] = "; ".join(messages)
-    return _SweepTable(tuple(columns[name] for name in SWEEP_CSV_HEADER.split(",")[:-1]),
-                       statuses), batch
+        columns["status"][i] = "; ".join(messages)
+    return _Table(SweepRecord, tuple(columns[name] for name in SWEEP_CSV_HEADER.split(","))), batch
 
 
 def evaluate_point(
@@ -231,7 +233,7 @@ def _arnold_table(
     delta_range: tuple[float, float] = (-1.0, 1.0),
     steps: tuple[int, int] = (101, 101),
     quad: QuadratureSpec = QuadratureSpec(),
-) -> _SweepTable:
+) -> _Table:
     _validate_range("epsilon", *eps_range)
     _validate_range("delta", *delta_range)
     _check_steps(*steps)
@@ -256,7 +258,7 @@ def _balanced_cut_table(
     ratio_range: tuple[float, float] = (1.0, 199.0),
     steps: int = 101,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> _SweepTable:
+) -> _Table:
     if not (base.gamma_g_a == base.gamma_d_a == base.gamma_g_b):
         raise ValueError("cut requires gamma_g_a = gamma_d_a = gamma_g_b")
     if base.delta != 0.0:
@@ -285,12 +287,24 @@ def balanced_cut_scan(
 
 def _run_points(
     points: Sequence[SystemParams] | np.ndarray, quad: QuadratureSpec
-) -> _SweepTable:
+) -> _Table:
     # One table per chunk, joined; no points make one empty chunk.
     chunks = [_evaluate_chunk(points[start:start + CHUNK_SIZE], quad)[0]
               for start in range(0, max(len(points), 1), CHUNK_SIZE)]
-    return _SweepTable(tuple(map(np.concatenate, zip(*[c.columns for c in chunks]))),
-                       [status for c in chunks for status in c.statuses])
+    return _Table(SweepRecord, tuple(map(np.concatenate, zip(*[c.columns for c in chunks]))))
+
+
+def _dynamics_table(params: SystemParams, t_max: float, samples: int,
+                    quad: QuadratureSpec) -> _Table:
+    rho0 = np.zeros((9, 9), dtype=complex)
+    rho0[joint_index(0, 0), joint_index(0, 0)] = 1.0
+    traj = evolve(params, rho0, t_max, samples=samples)
+    x = traj.sectors[0]
+    chunks = [x[start:start + CHUNK_SIZE] for start in range(0, len(x), CHUNK_SIZE)]
+    peaks = np.concatenate([max_s_rel_stack(sector_s_rel(c, quad))[1] for c in chunks])
+    negativities = np.concatenate([sector_negativity(c) for c in chunks])
+    oracle_peaks = first_order_stack(as_weights([params]), traj.times).s_rel_peak
+    return _Table(DynamicsRow, (traj.times, peaks, oracle_peaks, negativities, traj.trace_errors))
 
 
 def dynamics_trace(
@@ -309,16 +323,7 @@ def dynamics_trace(
     entries there, Trajectory.sectors[0], CHUNK_SIZE samples at a time;
     each gets the same bits as alone.
     """
-    rho0 = np.zeros((9, 9), dtype=complex)
-    rho0[joint_index(0, 0), joint_index(0, 0)] = 1.0
-    traj = evolve(params, rho0, t_max, samples=samples)
-    x = traj.sectors[0]
-    chunks = [x[start:start + CHUNK_SIZE] for start in range(0, len(x), CHUNK_SIZE)]
-    peaks = np.concatenate([max_s_rel_stack(sector_s_rel(c, quad))[1] for c in chunks])
-    negativities = np.concatenate([sector_negativity(c) for c in chunks])
-    oracle_peaks = first_order_stack(as_weights([params]), traj.times).s_rel_peak
-    columns = (traj.times, peaks, oracle_peaks, negativities, traj.trace_errors)
-    return [DynamicsRow(*row) for row in zip(*[c.tolist() for c in columns])]
+    return _dynamics_table(params, t_max, samples, quad).records()
 
 
 def linear_regression(xs, ys) -> RegressionResult:

@@ -283,13 +283,19 @@ class TestArgumentErrors:
 
 def test_runs_on_numpy_alone(tmp_path):
     # scipy is a test dependency only; importing scipy.linalg costs about
-    # 0.3 s of every command's start-up on a 2-core Xeon VM.
+    # 0.3 s of every command's start-up on a 2-core Xeon VM.  numpy.ma,
+    # which np.unique imports, some 10 ms.
     config = write_json(tmp_path, FIG2_CONFIG)
     script = (
         "import sys\n"
         "from spinsync.cli import main\n"
         f"assert main(['steady', '--config', {config!r}, '--out', 'state.json']) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        f"assert main(['sweep', '--config', {config!r}, '--eps-steps', '2',"
+        " '--delta-steps', '2', '--out', 'sweep.csv']) == 0\n"
+        f"assert main(['dynamics', '--config', {config!r}, '--t-max', '0.01',"
+        " '--samples', '2', '--out', 'dyn.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -449,6 +455,25 @@ class TestDynamicsCommand:
         summary = read_summary(capsys)
         assert summary["samples"] == 3 and summary["max_oracle_rel_dev"] is None
 
+    @pytest.mark.parametrize("config, t_max, samples, expected", [
+        (FIG2_CONFIG, 5.0, 11, 0.03523824242545934),
+        (FIG2_CONFIG, 0.05, 3, 0.0005314627966592047),
+        ({"gamma_g_a": 0, "gamma_d_b": 0, "epsilon": 0.1}, 0.05, 3, None),
+    ], ids=["fig2", "quiet-first-sample", "undefined-oracle"])
+    def test_oracle_deviation_is_the_row_loop(self, tmp_path, capsys, config, t_max,
+                                              samples, expected):
+        # The summary takes the deviation from the table's columns; it equals
+        # the loop over the rows, which skips quiet and undefined oracles.
+        argv = ["dynamics", "--config", write_json(tmp_path, config), "--t-max", str(t_max),
+                "--samples", str(samples), "--out", str(tmp_path / "dyn.csv")]
+        assert main(argv) == 0
+        value = read_summary(capsys)["max_oracle_rel_dev"]
+        rows = spinsync.dynamics_trace(SystemParams(**config), t_max=t_max, samples=samples)
+        assert rows[0].s_rel_peak_oracle == 0.0 or math.isnan(rows[0].s_rel_peak_oracle)
+        assert value == max((abs(r.s_rel_peak - r.s_rel_peak_oracle) / abs(r.s_rel_peak_oracle)
+                             for r in rows if abs(r.s_rel_peak_oracle) > 1e-12), default=None)
+        assert value == pytest.approx(expected, rel=1e-9)
+
     def test_rejects_negative_horizon(self, tmp_path, capsys):
         cfg = write_json(tmp_path, BALANCED_CONFIG)
         out = tmp_path / "x.csv"
@@ -518,12 +543,13 @@ class TestPeakMemory:
 
     def test_dynamics_holds_samples_by_sector(self, tmp_path):
         # 20001 samples from |0,0> hold 19 complex entries each, 304 bytes;
-        # 9x9 matrices held per sample grew the peak by 58 MB.
+        # 9x9 matrices held per sample grew the peak by 58 MB, and one
+        # DynamicsRow per sample by 13 MB, where writing from columns takes 8 MB.
         cfg = write_json(tmp_path, BALANCED_CONFIG)
         peaks = [cli_peak_memory_kb(["dynamics", "--config", cfg, "--t-max", "2",
                                      "--samples", samples, "--out", str(tmp_path / "d.csv")])
                  for samples in ("11", "20001")]
-        assert peaks[1] - peaks[0] < 25 * 1024
+        assert peaks[1] - peaks[0] < 10.5 * 1024
 
     def test_sweep_writes_its_csv_in_blocks(self, tmp_path):
         # 201x201 points against 11x11; formatting the whole CSV at once
@@ -708,6 +734,18 @@ class TestRegressCommand:
         Path(sweep_csv).write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
         assert main(["regress", "--in", sweep_csv, "--x", "epsilon", "--y", "negativity"]) == 0
         assert capsys.readouterr().out == want
+
+    def test_refused_rows_are_refused(self, tmp_path, capsys):
+        # A refused point's measures are nan in the CSV.  The sweep's summary
+        # fits its ok rows alone; regress reads every row and exits 1.
+        cfg = write_json(tmp_path, {"gamma_g_a": 0, "gamma_d_b": 100})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--eps-steps", "3", "--delta-steps", "3",
+                     "--out", str(out)]) == 0
+        summary = read_summary(capsys)
+        assert summary["failed"] == 3 and summary["fits"]["negativity"]["n_points"] == 6
+        assert main(["regress", "--in", str(out), "--x", "negativity", "--y", "max_s_rel"]) == 1
+        assert capsys.readouterr() == ("", "error: regression inputs must be finite\n")
 
     def test_same_fit_as_reading_every_column(self, sweep_csv, capsys):
         with open(sweep_csv) as fh:

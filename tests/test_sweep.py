@@ -478,7 +478,7 @@ class TestBlockMeasures:
                               delta=np.linspace(-1.0, 1.0, 8))
         calls = record_lapack_calls(monkeypatch)
         table, _ = sweep._evaluate_chunk(weights, QuadratureSpec())
-        assert table.statuses == ["ok"] * 32
+        assert table.column("status").tolist() == ["ok"] * 32
         assert calls == {"eig": [], "eigh": [(32, 3, 3)], "eigvals": [],
                          "eigvalsh": [(32, 3, 3)], "svd": []}
 
