@@ -14,16 +14,7 @@ from .correlations import (
     schmidt_analysis,
     von_neumann_entropy,
 )
-from .first_order import (
-    STEADY,
-    CoherencePair,
-    coherences,
-    decay_rates,
-    first_order_state,
-    negativity_first_order,
-    s_rel_first_order,
-    s_rel_peak_first_order,
-)
+from .first_order import STEADY, first_order_stack
 from .liouvillian import (
     IntegrationStepError,
     NonUniqueSteadyStateError,
@@ -36,9 +27,6 @@ from .liouvillian import (
 from .phasespace import (
     PhaseDistribution,
     QuadratureSpec,
-    coherent_state,
-    husimi_joint,
-    husimi_single,
     max_s_rel,
     p_single,
     s_rel,
@@ -51,14 +39,12 @@ from .sweep import (
     balanced_cut_scan,
     dynamics_trace,
     linear_regression,
-    run_steady_point,
     write_dynamics_csv,
     write_sweep_csv,
 )
 
 __all__ = [
     "STEADY",
-    "CoherencePair",
     "DynamicsRow",
     "IntegrationStepError",
     "NonUniqueSteadyStateError",
@@ -72,25 +58,16 @@ __all__ = [
     "arnold_sweep",
     "balanced_cut_scan",
     "build_generator",
-    "coherences",
-    "coherent_state",
-    "decay_rates",
     "dynamics_trace",
     "evolve",
-    "first_order_state",
-    "husimi_joint",
-    "husimi_single",
+    "first_order_stack",
     "linear_regression",
     "max_s_rel",
     "mutual_information",
     "negativity",
-    "negativity_first_order",
     "p_single",
     "purity",
-    "run_steady_point",
     "s_rel",
-    "s_rel_first_order",
-    "s_rel_peak_first_order",
     "schmidt_analysis",
     "steady_state",
     "von_neumann_entropy",

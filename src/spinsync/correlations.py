@@ -36,7 +36,7 @@ EIGENVALUE_FLOOR = -1e-8
 
 
 def negativity(rho: np.ndarray, site: str = "A") -> float:
-    """Entanglement negativity (sum |eig(rho^T_site)| - 1) / 2, clipped at 0."""
+    """Negativity (sum |eig(rho^T_site)| - 1) / 2, clipped at 0; an independent 9x9 oracle."""
     eig = hermitian_eigenvalues(partial_transpose(rho, site))
     return max(0.0, 0.5 * (float(np.sum(np.abs(eig))) - 1.0))
 
@@ -48,7 +48,10 @@ def _entropy_terms(p: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr rho ln rho in nats; eigenvalues below -1e-8 are rejected."""
+    """-Tr rho ln rho in nats; an independent 9x9 oracle.
+
+    Eigenvalues below -1e-8 are rejected.
+    """
     eig = hermitian_eigenvalues(rho)
     if eig[0] < EIGENVALUE_FLOOR:
         raise InvalidStateError(
@@ -58,7 +61,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def mutual_information(rho: np.ndarray) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB), clipped at 0 against roundoff."""
+    """I(A:B) = S(A) + S(B) - S(AB), clipped at 0; an independent 9x9 oracle."""
     value = (von_neumann_entropy(partial_trace(rho, "A"))
              + von_neumann_entropy(partial_trace(rho, "B"))
              - von_neumann_entropy(rho))
@@ -66,7 +69,7 @@ def mutual_information(rho: np.ndarray) -> float:
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr rho^2."""
+    """Tr rho^2; an independent 9x9 oracle."""
     return float(np.trace(rho @ rho).real)
 
 
@@ -93,7 +96,7 @@ def _check_rank_threshold(rank_threshold: float) -> None:
 def schmidt_analysis(
     rho: np.ndarray, rank_threshold: float = DEFAULT_RANK_THRESHOLD
 ) -> SchmidtAnalysis:
-    """Schmidt decomposition of the leading eigenvector of rho.
+    """Schmidt decomposition of the leading eigenvector of rho; an independent 9x9 oracle.
 
     The eigenvector is reshaped to a 3x3 amplitude matrix (row index = spin A)
     and singular values give the Schmidt coefficients, descending.  The rank

@@ -189,7 +189,7 @@ def _sector_block(params: SystemParams, k: int) -> np.ndarray:
 
 
 def build_generator(params: SystemParams) -> np.ndarray:
-    """Assemble the 81x81 matrix L with vec(rho_dot) = L @ vec(rho).
+    """The 81x81 matrix L with vec(rho_dot) = L @ vec(rho); a view of the sector engine.
 
     Each k >= 0 block of L combines that sector's seven basis blocks,
     weighted by the fields of params in order, and the block of sector -k
@@ -504,10 +504,8 @@ def steady_states(points: Sequence[SystemParams] | np.ndarray) -> SteadyStates:
                         tuple(errors), *[scatter(values, 0.0) for values in spectra])
 
 
-def steady_state(
-    params: SystemParams, *, return_residual: bool = False
-) -> np.ndarray | tuple[np.ndarray, float]:
-    """Unique steady state of the generator, as a valid 9x9 density matrix.
+def steady_state(params: SystemParams) -> np.ndarray:
+    """Unique steady state as a valid 9x9 density matrix; a view of the sector engine.
 
     NonUniqueSteadyStateError refuses a point whose zero parameters leave a
     larger kernel, naming them: both gains zero, or no exchange and another
@@ -528,10 +526,7 @@ def steady_state(
     batch = steady_states([params])
     if batch.errors[0] is not None:
         raise batch.errors[0]
-    rho = batch.states[0]
-    if return_residual:
-        return rho, float(batch.residuals[0])
-    return rho
+    return batch.states[0]
 
 
 def default_time_step(params: SystemParams) -> float:

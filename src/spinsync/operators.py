@@ -75,18 +75,8 @@ def embed(op: np.ndarray, site: str) -> np.ndarray:
     raise ValueError(f"site must be 'A' or 'B', got {site!r}")
 
 
-def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D[O]rho = O rho O^dag - {O^dag O, rho}/2."""
-    op = np.asarray(op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if op.shape != rho.shape or op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"dimension mismatch: op {op.shape}, rho {rho.shape}")
-    odo = op.conj().T @ op
-    return op @ rho @ op.conj().T - 0.5 * (odo @ rho + rho @ odo)
-
-
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced 3x3 state of the kept spin ('A' or 'B').
+    """Reduced 3x3 state of the kept spin ('A' or 'B'); an independent 9x9 oracle.
 
     rho may also be a stack (..., 9, 9); the result is then (..., 3, 3).
     """
@@ -100,8 +90,9 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, site: str = "A") -> np.ndarray:
-    """Transpose the indices of one spin: ((a,b),(a',b')) -> ((a',b),(a,b')).
+    """Partial transpose on one spin; an independent 9x9 oracle.
 
+    Transposes the indices of the spin: ((a,b),(a',b')) -> ((a',b),(a,b')).
     rho may also be a stack (..., 9, 9), transposed state by state.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -121,7 +112,7 @@ def _split_pair(rho: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues(matrix: np.ndarray, herm_tol: float = 1e-8) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+    """Real eigenvalues of a Hermitian matrix, ascending; an independent 9x9 oracle.
 
     matrix may also be a stack (..., n, n); every member must be Hermitian.
     """

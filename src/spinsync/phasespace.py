@@ -1,11 +1,12 @@
-"""Spin-1 coherent states, Husimi Q functions, and phase distributions.
+"""Phase distributions of spin-1 states, from their Husimi Q functions.
 
 The synchronization measure is the distribution of the relative phase
-phi = phi_A - phi_B built from the joint Q function: integrate Q over both
-polar angles and the common phase phi_B at fixed relative phase, subtract
-the uniform background 1/(2 pi).  The integrals are done in closed form.
-The coherent amplitudes factor into a polar part r_a(theta) and a phase
-e^{i a phi}, so the polar integrals leave the overlaps
+phi = phi_A - phi_B built from the joint Husimi Q function, (3/4pi)^2
+times the expectation in a product of spin-1 coherent states: integrate Q
+over both polar angles and the common phase phi_B at fixed relative phase,
+subtract the uniform background 1/(2 pi).  The integrals are done in
+closed form.  The coherent amplitudes factor into a polar part r_a(theta)
+and a phase e^{i a phi}, so the polar integrals leave the overlaps
 integral sin(theta) r_a r_c dtheta, and the phi_B integral keeps only the
 entries <a,b|rho|c,d> with c - a = b - d.  What is left is a trigonometric
 polynomial in phi with five Fourier modes, |k| <= 2, linear in the 19
@@ -67,40 +68,6 @@ class PhaseDistribution:
     values: np.ndarray
 
 
-def coherent_state(theta: float, phi: float) -> np.ndarray:
-    """Amplitudes of the spin-1 coherent state on the (m=+1, 0, -1) basis."""
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if not 0.0 <= phi < 2.0 * np.pi:
-        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
-    half = 0.5 * theta
-    c, s = np.cos(half), np.sin(half)
-    return np.array(
-        [c * c, np.sqrt(2.0) * np.exp(1j * phi) * s * c, np.exp(2j * phi) * s * s]
-    )
-
-
-def _check_square(rho: np.ndarray, dim: int) -> None:
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {rho.shape}")
-
-
-def husimi_single(rho: np.ndarray, theta: float, phi: float) -> float:
-    """Q(theta, phi) = (3/4pi) <theta,phi|rho|theta,phi> for one spin."""
-    _check_square(rho, SINGLE_DIM)
-    amp = coherent_state(theta, phi)
-    return HUSIMI_NORM * float(np.real(amp.conj() @ rho @ amp))
-
-
-def husimi_joint(
-    rho: np.ndarray, theta_a: float, theta_b: float, phi_a: float, phi_b: float
-) -> float:
-    """Joint Q function (3/4pi)^2 <a| x <b| rho |a> x |b> for the pair."""
-    _check_square(rho, PAIR_DIM)
-    amp = np.kron(coherent_state(theta_a, phi_a), coherent_state(theta_b, phi_b))
-    return HUSIMI_NORM**2 * float(np.real(amp.conj() @ rho @ amp))
-
-
 # _THETA_OVERLAP[a, c] = integral_0^pi sin(theta) r_a(theta) r_c(theta) dtheta
 # for the coherent-state amplitudes at phi = 0,
 # r = (cos^2, sqrt(2) sin cos, sin^2) of theta / 2.
@@ -152,7 +119,7 @@ def _on_grid(modes: np.ndarray, n_phi_out: int) -> PhaseDistribution:
 
 
 def s_rel(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDistribution:
-    """Relative-phase distribution offset of a two-spin state.
+    """Relative-phase distribution offset of a two-spin state; a view of the sector engine.
 
     For each output phi, the joint Q at angles (phi_A, phi_B) =
     (phi + phi_B, phi_B) integrated over theta_A, theta_B and phi_B, minus
@@ -179,8 +146,9 @@ def sector_s_rel(x: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> Phas
 
 
 def p_single(rho: np.ndarray, quad: QuadratureSpec = QuadratureSpec()) -> PhaseDistribution:
-    """Marginal phase distribution offset of a single spin."""
-    _check_square(rho, SINGLE_DIM)
+    """Marginal phase distribution offset of a single spin; an independent 3x3 oracle."""
+    if rho.shape != (SINGLE_DIM, SINGLE_DIM):
+        raise ValueError(f"expected a 3x3 matrix, got shape {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise ValueError("state must be Hermitian")
     # Mode k collects the entries rho[a, a + k], the k-th diagonal.
@@ -213,13 +181,13 @@ def max_s_rel_stack(dist: PhaseDistribution) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_s_rel(dist: PhaseDistribution) -> tuple[float, float]:
-    """Grid maximum of a phase distribution; ties go to the smallest phi.
+    """Grid maximum of a phase distribution; a view of the sector engine.
 
-    Values within TIE_RTOL * max|values|, and at least TIE_ATOL, of the
-    maximum count as tied, so peaks that are equal in exact arithmetic,
-    such as the mirror pair phi and 2 pi - phi of a symmetric profile, do
-    not hinge on roundoff; nor does the phase of a profile that is flat in
-    exact arithmetic, which is 0.
+    Ties go to the smallest phi: values within TIE_RTOL * max|values|, and
+    at least TIE_ATOL, of the maximum count as tied, so peaks that are
+    equal in exact arithmetic, such as the mirror pair phi and 2 pi - phi
+    of a symmetric profile, do not hinge on roundoff; nor does the phase of
+    a profile that is flat in exact arithmetic, which is 0.
     """
     phi, peak = max_s_rel_stack(dist)
     return float(phi), float(peak)

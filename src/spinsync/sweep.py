@@ -8,14 +8,15 @@ solved state is carried as its 19 k = 0 entries, and the measures run on
 its blocks (see correlations); a 9x9 matrix is built only for the state
 evaluate_point returns.  Point and dynamics sample results alike are kept
 as the columns of a _Table, from which the CLI writes CSV rows CHUNK_SIZE
-at a time and takes its summaries; record objects are built only where
-arnold_sweep, balanced_cut_scan, evaluate_point and dynamics_trace return
-them, and write_sweep_csv and write_dynamics_csv format them with the same
-row template.  Every point gets the same bits whatever chunk it lands in,
-and results are always emitted in deterministic grid order (epsilon-major
-for the tongue sweep), so CSV bodies are byte-identical regardless of
-chunk size.  A failing point is recorded in its row's status field and
-never aborts a sweep or affects the other points.
+at a time and takes its summaries.  The commands run evaluate_point and
+the tables; arnold_sweep, balanced_cut_scan and dynamics_trace are library
+views that return the same tables as record objects, and write_sweep_csv
+and write_dynamics_csv format records with the same row template.  Every
+point gets the same bits whatever chunk it lands in, and results are
+always emitted in deterministic grid order (epsilon-major for the tongue
+sweep), so CSV bodies are byte-identical regardless of chunk size.  A
+failing point is recorded in its row's status field and never aborts a
+sweep or affects the other points.
 """
 
 from __future__ import annotations
@@ -192,13 +193,6 @@ def evaluate_point(
     return record, batch.states[0]
 
 
-def run_steady_point(
-    params: SystemParams, quad: QuadratureSpec = QuadratureSpec()
-) -> SweepRecord:
-    """Evaluate one parameter point into a SweepRecord."""
-    return evaluate_point(params, quad)[0]
-
-
 def _validate_range(name: str, lo: float, hi: float) -> None:
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         raise ValueError(f"invalid {name} range [{lo}, {hi}]")
@@ -249,7 +243,7 @@ def arnold_sweep(
     steps: tuple[int, int] = (101, 101),
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> list[SweepRecord]:
-    """Evaluate the coupling-detuning grid in epsilon-major order."""
+    """The coupling-detuning grid in epsilon-major order; a view of the sector engine."""
     return _arnold_table(base, eps_range, delta_range, steps, quad).records()
 
 
@@ -276,11 +270,11 @@ def balanced_cut_scan(
     steps: int = 101,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> list[SweepRecord]:
-    """Scan the damping of spin B with all other rates pinned and balanced.
+    """Scan the damping of spin B on a balanced cut; a view of the sector engine.
 
-    Requires a base whose A rates and B gain are all equal (the balanced-A
-    configuration) with no detuning; gamma_d_b runs log-spaced over the
-    ratio range.
+    All other rates are pinned and balanced: the base's A rates and B gain
+    must be equal (the balanced-A configuration), with no detuning;
+    gamma_d_b runs log-spaced over the ratio range.
     """
     return _balanced_cut_table(base, ratio_range, steps, quad).records()
 
@@ -303,7 +297,7 @@ def _dynamics_table(params: SystemParams, t_max: float, samples: int,
     chunks = [x[start:start + CHUNK_SIZE] for start in range(0, len(x), CHUNK_SIZE)]
     peaks = np.concatenate([max_s_rel_stack(sector_s_rel(c, quad))[1] for c in chunks])
     negativities = np.concatenate([sector_negativity(c) for c in chunks])
-    oracle_peaks = first_order_stack(as_weights([params]), traj.times).s_rel_peak
+    oracle_peaks = first_order_stack([params], traj.times).s_rel_peak
     return _Table(DynamicsRow, (traj.times, peaks, oracle_peaks, negativities, traj.trace_errors))
 
 
@@ -313,7 +307,7 @@ def dynamics_trace(
     samples: int = 11,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> list[DynamicsRow]:
-    """Evolve from both spins resting on their limit cycles, sampling measures.
+    """Measures of the evolution from the resting state; a view of the sector engine.
 
     The initial state is the product of the two stabilized m=0 states; each
     sampled state is scored by its relative-phase peak (with the transient
@@ -375,10 +369,10 @@ def _write_csv(record_type, rows: Iterable[Sequence], path) -> None:
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
-    """Write sweep records with the fixed column layout, 12 significant digits."""
+    """Write sweep records as a table's CSV; a view of the sector engine's CSV writer."""
     _write_csv(SweepRecord, map(attrgetter(*SWEEP_CSV_HEADER.split(",")), records), path)
 
 
 def write_dynamics_csv(rows: list[DynamicsRow], path) -> None:
-    """Write a dynamics trace with the fixed column layout."""
+    """Write dynamics rows as a table's CSV; a view of the sector engine's CSV writer."""
     _write_csv(DynamicsRow, map(attrgetter(*DYNAMICS_CSV_HEADER.split(",")), rows), path)

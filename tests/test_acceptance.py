@@ -24,11 +24,11 @@ from spinsync import (
     negativity,
     p_single,
     purity,
-    run_steady_point,
     s_rel,
     schmidt_analysis,
     steady_state,
 )
+from spinsync.sweep import evaluate_point
 from spinsync.operators import embed, joint_index, partial_trace, spin1_operators
 
 RESULTS: list[str] = []
@@ -72,7 +72,7 @@ def test_criterion_1_uncoupled_fixed_point(quad):
 def test_criterion_2_reference_locked_point(quad):
     """Reversed-cycle point: peak size and position, purity, negativity, speed."""
     start = time.perf_counter()
-    rec = run_steady_point(FIG2, quad)
+    rec = evaluate_point(FIG2, quad)[0]
     elapsed = time.perf_counter() - start
 
     peak_ok = rec.max_s_rel == pytest.approx(PEAK_REFERENCE, rel=0.05)
@@ -149,7 +149,7 @@ def test_criterion_4_tongue_regressions(arnold):
 
 def test_criterion_5_identical_cycles_entangle_without_locking(quad):
     """Equal rates: no phase preference, yet strong entanglement at rank 3."""
-    rec = run_steady_point(BALANCED, quad)
+    rec = evaluate_point(BALANCED, quad)[0]
 
     flat_ok = rec.max_s_rel <= 1e-3
     neg_ok = rec.negativity >= 0.18
@@ -255,7 +255,7 @@ class TestCriterion8SymmetrySuite:
 def test_criterion_9_oracle_error_shrinks_quadratically():
     """Halving the coupling cuts the numerics-oracle gap by far more than half."""
     def deviation(eps: float) -> float:
-        rec = run_steady_point(dataclasses.replace(FIG2, epsilon=eps))
+        rec = evaluate_point(dataclasses.replace(FIG2, epsilon=eps))[0]
         return abs(rec.max_s_rel - rec.s_rel_fo)
 
     dev_strong = deviation(0.1)

@@ -14,9 +14,9 @@ from conftest import (
     random_unitary,
     sector_density_matrices,
 )
+from oracles import first_order_state
 from spinsync import (
     SystemParams,
-    first_order_state,
     mutual_information,
     negativity,
     purity,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import expm, lstsq
+from scipy.linalg import expm
 
 from conftest import (
     BALANCED,
@@ -24,7 +24,25 @@ from conftest import (
     wide_range_params,
 )
 import exact
-from quadrature import quadrature_s_rel
+from oracles import (
+    EPS,
+    K0,
+    KRON_BASIS,
+    NOT_UNIQUE,
+    OLD_RATE_TOL,
+    OLD_ROUNDING_TOL,
+    conditioning_refusal,
+    dense_rk4_states,
+    dense_steady_state,
+    dense_tolerance,
+    direct_rhs,
+    excitation_difference,
+    kron_generator,
+    per_point_record,
+    per_point_steady_state,
+    rule_refusal,
+    trace_row,
+)
 from spinsync import (
     IntegrationStepError,
     NonUniqueSteadyStateError,
@@ -34,9 +52,7 @@ from spinsync import (
     balanced_cut_scan,
     build_generator,
     evolve,
-    negativity_first_order,
     s_rel,
-    s_rel_peak_first_order,
     steady_state,
 )
 from spinsync import liouvillian, sweep
@@ -50,171 +66,19 @@ from spinsync.liouvillian import (
     steady_states,
 )
 from spinsync.operators import (
-    M_VALUES,
     InvalidStateError,
     LinearSolveError,
-    dissipator,
     embed,
     joint_index,
-    partial_trace,
-    partial_transpose,
     sector_matrix,
     spin1_operators,
 )
-from spinsync.phasespace import TIE_ATOL, TIE_RTOL
 
 
 def both_zero_density() -> np.ndarray:
     rho = np.zeros((9, 9), dtype=complex)
     rho[joint_index(0, 0), joint_index(0, 0)] = 1.0
     return rho
-
-
-def direct_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
-    # Same master equation assembled in matrix form, bypassing the
-    # row-major vectorization the generator relies on.
-    sz, sp, sm = spin1_operators()
-    ham = (params.omega_ref + params.delta) * embed(sz, "A")
-    ham = ham + params.omega_ref * embed(sz, "B")
-    ham = ham + 0.5j * params.epsilon * (
-        embed(sp, "A") @ embed(sm, "B") - embed(sp, "B") @ embed(sm, "A")
-    )
-    out = -1j * (ham @ rho - rho @ ham)
-    out = out + 0.5 * params.gamma_g_a * dissipator(embed(sp @ sz, "A"), rho)
-    out = out + 0.5 * params.gamma_d_a * dissipator(embed(sm @ sz, "A"), rho)
-    out = out + 0.5 * params.gamma_g_b * dissipator(embed(sp @ sz, "B"), rho)
-    out = out + 0.5 * params.gamma_d_b * dissipator(embed(sm @ sz, "B"), rho)
-    return out
-
-
-# The dense kron construction of the seven 81x81 basis superoperators, as the
-# engine built them before its table of sector blocks: the differential
-# oracle of that table and of build_generator.
-
-def _left(op: np.ndarray) -> np.ndarray:
-    return np.kron(op, np.eye(9, dtype=complex))
-
-
-def _right(op: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(9, dtype=complex), op.T)
-
-
-def _commutator_super(ham: np.ndarray) -> np.ndarray:
-    return -1j * (_left(ham) - _right(ham))
-
-
-def _dissipator_super(op: np.ndarray) -> np.ndarray:
-    odo = op.conj().T @ op
-    return np.kron(op, op.conj()) - 0.5 * (_left(odo) + _right(odo))
-
-
-def _basis_superoperators() -> np.ndarray:
-    # One superoperator per SystemParams field, in field order: the four
-    # (gamma/2) D[J] channels, the exchange, then the frequencies, written as
-    # omega_A = omega_ref + delta so delta drives Sz_A and omega_ref drives
-    # the total Sz.
-    sz, sp, sm = spin1_operators()
-    sz_a, sz_b = embed(sz, "A"), embed(sz, "B")
-    exchange = 0.5j * (embed(sp, "A") @ embed(sm, "B") - embed(sp, "B") @ embed(sm, "A"))
-    return np.stack([
-        0.5 * _dissipator_super(embed(sp @ sz, "A")),
-        0.5 * _dissipator_super(embed(sm @ sz, "A")),
-        0.5 * _dissipator_super(embed(sp @ sz, "B")),
-        0.5 * _dissipator_super(embed(sm @ sz, "B")),
-        _commutator_super(exchange),
-        _commutator_super(sz_a),
-        _commutator_super(sz_a + sz_b),
-    ])
-
-
-KRON_BASIS = _basis_superoperators()
-
-
-def kron_generator(params: SystemParams) -> np.ndarray:
-    """The 81x81 generator combined from KRON_BASIS, as build_generator combined it."""
-    return liouvillian._combine(np.array(_weights(params)),
-                                KRON_BASIS.reshape(7, -1)).reshape(81, 81)
-
-
-def dense_rk4_step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
-    # Classical RK4 applied to the linear system vec' = L vec collapses to a
-    # fixed one-step matrix: sum of (hL)^k / k! for k = 0..4.
-    dim = gen.shape[0]
-    step = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 5):
-        term = (h / k) * (gen @ term)
-        step = step + term
-    return step
-
-
-def dense_rk4_states(params: SystemParams, rho0: np.ndarray, t_max: float, dt: float,
-                     samples: int) -> np.ndarray:
-    """RK4 on the whole 81x81 oracle generator, with evolve's step and sampling."""
-    seg = t_max / (samples - 1)
-    n_sub = max(1, int(np.ceil(seg / dt - 1e-12)))
-    step = dense_rk4_step_matrix(kron_generator(params), seg / n_sub)
-    vec = (0.5 * (rho0 + rho0.conj().T)).reshape(-1)
-    states = []
-    for i in range(samples):
-        for _ in range(n_sub if i else 0):
-            vec = step @ vec
-        rho = vec.reshape(9, 9)
-        states.append(0.5 * (rho + rho.conj().T))
-    return np.array(states)
-
-
-def trace_row() -> np.ndarray:
-    """Row vector t with t @ vec(rho) = Tr rho."""
-    return np.eye(9, dtype=complex).reshape(-1)
-
-
-def excitation_difference(index: int) -> int:
-    # vec index 9 r + c holds rho[r, c]; joint index 3 a + b holds
-    # |M_VALUES[a], M_VALUES[b]>.
-    row, col = divmod(index, 9)
-    total = [M_VALUES[j // 3] + M_VALUES[j % 3] for j in (row, col)]
-    return total[0] - total[1]
-
-
-def rule_refusal(params: SystemParams) -> str | None:
-    """The structural refusal text of params, None if its rates allow one steady state.
-
-    Unique when all four rates are positive, or when epsilon and at least
-    one gain are; gamma_d_a is always positive.
-    """
-    if params.gamma_g_a == 0.0 and params.gamma_g_b == 0.0:
-        return "steady state is not unique: both gains are zero"
-    if params.epsilon > 0.0 or min(params.gamma_g_a, params.gamma_g_b, params.gamma_d_b) > 0.0:
-        return None
-    zero = [name for name in ("gamma_g_a", "gamma_g_b", "gamma_d_b", "epsilon")
-            if getattr(params, name) == 0.0]
-    return f"steady state is not unique: {', '.join(zero[:-1])} and {zero[-1]} are zero"
-
-
-EPS = np.finfo(float).eps
-
-# The old conditioning rule, which the verified inverse replaced: sigma_2 of
-# the k = 0 block must reach max(OLD_RATE_TOL * the sum of the rates,
-# OLD_ROUNDING_TOL * sigma_1).  Where the old rule accepts a point the
-# engine accepts it too.
-OLD_RATE_TOL = 1e-9
-OLD_ROUNDING_TOL = 1e3 * EPS
-
-NOT_UNIQUE = "steady state is not unique to double precision: "
-
-
-def conditioning_refusal(params: SystemParams, k0_block: np.ndarray) -> str | None:
-    """The old rule's refusal text of a k = 0 block whose sigma_2 is below its bound."""
-    singular = np.linalg.svd(k0_block, compute_uv=False)
-    rates = params.gamma_g_a + params.gamma_d_a + params.gamma_g_b + params.gamma_d_b
-    bound = max(OLD_RATE_TOL * rates, OLD_ROUNDING_TOL * singular[0])
-    if singular[-2] >= bound:
-        return None
-    return f"{NOT_UNIQUE}sigma_2 {singular[-2]:.3e} of the k = 0 block is below {bound:.3e}"
-
-
-K0 = [i for i in range(81) if excitation_difference(i) == 0]
 
 
 def pair_summed_form(blocks: np.ndarray) -> np.ndarray:
@@ -277,139 +141,6 @@ def assert_old_rule_agrees(got: str, want: str, params: SystemParams) -> None:
     assert sigma_2, (got, want, params)
     accepted = head.removesuffix("solve: ").removesuffix("; ") or "ok"
     assert got == accepted or got.startswith(head + NOT_UNIQUE), (got, want, params)
-
-
-def dense_steady_state(params: SystemParams) -> np.ndarray | None:
-    """Reference solve on the full 81x81 generator, None if refused.
-
-    Refused by the structural rule, a zero pattern that rule_refusal names,
-    or by the old rule, a k = 0 block, cut from the dense generator, that
-    conditioning_refusal refuses.
-    The state comes from the augmented 82x81 least-squares system
-    (generator rows plus the trace row), with no use of the sector
-    structure.
-    """
-    gen = build_generator(params)
-    if rule_refusal(params) or conditioning_refusal(params, gen[np.ix_(K0, K0)]):
-        return None
-    augmented = np.vstack([gen, trace_row()[None, :]])
-    rhs = np.zeros(82, dtype=complex)
-    rhs[-1] = 1.0
-    vec = lstsq(augmented, rhs, lapack_driver="gelsy")[0]
-    rho = vec.reshape(9, 9)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
-
-
-def dense_tolerance(params: SystemParams) -> float:
-    """1e-10 + 1e-14 cond of the square k = 0 trace-row system that is solved."""
-    square = build_generator(params)[np.ix_(K0, K0)]
-    square[0] = trace_row()[K0]
-    return 1e-10 + 1e-14 * np.linalg.cond(square)
-
-
-def per_point_steady_state(params: SystemParams) -> tuple[np.ndarray, float]:
-    """The steady state solved one point at a time, as before the stacked engine.
-
-    The nine blocks cut from the full generator; the rule's refusals; one
-    square 19x19 trace-row solve, the residual over the block and the
-    density-matrix checks, all on 2-d arrays; the old rule decides
-    conditioning.  Where the structural rule finds one steady state it
-    also asserts that every k != 0 block is nonsingular far above
-    rounding, so each call checks the rule numerically.
-    """
-    gen = build_generator(params)
-    blocks = [gen[np.ix_(sector, sector)] for sector in EXCITATION_SECTORS]
-    refusal = rule_refusal(params)
-    if refusal is not None:
-        raise NonUniqueSteadyStateError(refusal)
-    smallest = min(np.linalg.svd(block, compute_uv=False)[-1] for block in blocks[1:])
-    assert smallest >= OLD_ROUNDING_TOL * np.max(np.abs(gen)), params
-    refusal = conditioning_refusal(params, blocks[0])
-    if refusal is not None:
-        raise NonUniqueSteadyStateError(refusal)
-    sector, block = EXCITATION_SECTORS[0], blocks[0]
-    square = block.copy()
-    square[0] = trace_row()[sector]
-    rhs = np.zeros(len(sector), dtype=complex)
-    rhs[0] = 1.0
-    vec = np.zeros(81, dtype=complex)
-    vec[sector] = np.linalg.solve(square, rhs)
-    rho = vec.reshape(9, 9)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    residual = float(np.linalg.norm(block @ rho.reshape(-1)[sector]))
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(block))))
-    if residual > tol:
-        raise LinearSolveError(
-            f"steady-state residual {residual:.3e} exceeds {tol:.3e}", residual
-        )
-    dev = np.max(np.abs(rho - rho.conj().T))
-    if dev > 1e-10:
-        raise InvalidStateError(f"not Hermitian: max|rho - rho^dag| = {dev:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-10:
-        raise InvalidStateError(f"trace {tr} deviates from 1 by {abs(tr - 1.0):.3e}")
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -1e-10:
-        raise InvalidStateError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
-    return rho, residual
-
-
-def per_point_entropy(rho: np.ndarray) -> float:
-    eig = np.linalg.eigvalsh(rho)
-    if eig[0] < -1e-8:
-        raise InvalidStateError(f"eigenvalue {eig[0]:.3e} below tolerance -1.0e-08")
-    p = np.clip(eig, 0.0, None)
-    nonzero = p[p > 0.0]
-    return float(-np.sum(nonzero * np.log(nonzero)))
-
-
-def per_point_measures(rho: np.ndarray, quad: QuadratureSpec) -> dict:
-    """Every measure of one state, each on 2-d arrays as before the stacked engine."""
-    out_phis, values = quadrature_s_rel(rho, quad)
-    idx = int(np.argmax(values))
-    tied = values >= values[idx] - max(TIE_RTOL * np.max(np.abs(values)), TIE_ATOL)
-    if tied.any():
-        idx = int(np.argmax(tied))
-    eig_pt = np.linalg.eigvalsh(partial_transpose(rho, "A"))
-    mutual = (per_point_entropy(partial_trace(rho, "A"))
-              + per_point_entropy(partial_trace(rho, "B")) - per_point_entropy(rho))
-    _, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    coeffs = np.linalg.svd(vecs[:, -1].reshape(3, 3), compute_uv=False)
-    return dict(
-        max_s_rel=float(values[idx]),
-        phi_at_max=float(out_phis[idx]),
-        negativity=max(0.0, 0.5 * (float(np.sum(np.abs(eig_pt))) - 1.0)),
-        mutual_info=max(0.0, mutual),
-        purity=float(np.trace(rho @ rho).real),
-        schmidt_rank=int(np.sum(coeffs > 1e-3 * coeffs[0])),
-    )
-
-
-def per_point_record(params: SystemParams, quad: QuadratureSpec = QuadratureSpec()):
-    """Sweep record of one point through the per-point path."""
-    errors = []
-    s_rel_fo = negativity_fo = math.nan
-    try:
-        s_rel_fo = s_rel_peak_first_order(params)
-        negativity_fo = negativity_first_order(params)
-    except ValueError as exc:
-        errors.append(f"oracle: {exc}")
-    vals = dict.fromkeys(("max_s_rel", "phi_at_max", "negativity", "mutual_info",
-                          "purity", "residual"), math.nan)
-    vals["schmidt_rank"] = 0
-    try:
-        rho, residual = per_point_steady_state(params)
-        vals.update(per_point_measures(rho, quad), residual=residual)
-    except (NonUniqueSteadyStateError, LinearSolveError, InvalidStateError,
-            ValueError) as exc:
-        errors.append(f"solve: {exc}")
-    return sweep.SweepRecord(
-        epsilon=params.epsilon, delta=params.delta, s_rel_fo=s_rel_fo,
-        negativity_fo=negativity_fo,
-        status="ok" if not errors else "; ".join(errors), **vals,
-    )
 
 
 def assert_records_match_per_point(records, points):
@@ -891,7 +622,8 @@ class TestSteadyState:
         assert np.min(np.linalg.eigvalsh(fig2_steady)) >= -1e-10
 
     def test_residual_is_reported_and_small(self, fig2_params, fig2_steady):
-        rho, residual = steady_state(fig2_params, return_residual=True)
+        rho = steady_state(fig2_params)
+        residual = steady_states([fig2_params]).residuals[0]
         assert_allclose(rho, fig2_steady, atol=1e-12)
         gen = build_generator(fig2_params)
         assert residual <= 1e-10 * (1.0 + np.max(np.abs(gen)))
@@ -1070,7 +802,7 @@ class TestPerPointOracle:
                 seen.add(type(exc))
                 continue
             assert error is None, params
-            got, got_residual = steady_state(params, return_residual=True)
+            got, got_residual = steady_state(params), steady_states([params]).residuals[0]
             assert np.max(np.abs(got - rho)) <= state_bound(params), params
             assert abs(got_residual - residual) <= (
                 10.0 * EPS * k0_singular_values(params)[0]), params

@@ -10,6 +10,7 @@ from conftest import (
     random_unitary,
     sector_density_matrices,
 )
+from oracles import dissipator
 from spinsync.liouvillian import EXCITATION_SECTORS
 from spinsync.operators import (
     M_BLOCKS,
@@ -19,7 +20,6 @@ from spinsync.operators import (
     SINGLE_DIM,
     InvalidStateError,
     block_eigenvalues,
-    dissipator,
     embed,
     hermitian_eigenvalues,
     index_of_m,

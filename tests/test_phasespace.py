@@ -7,18 +7,21 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from conftest import density_matrices, random_density
-from quadrature import quadrature_p_single, quadrature_s_rel
-from spinsync import (
-    PhaseDistribution,
-    QuadratureSpec,
+from oracles import (
     coherent_state,
     first_order_state,
     husimi_joint,
     husimi_single,
+    quadrature_p_single,
+    quadrature_s_rel,
+    s_rel_first_order,
+)
+from spinsync import (
+    PhaseDistribution,
+    QuadratureSpec,
     max_s_rel,
     p_single,
     s_rel,
-    s_rel_first_order,
 )
 from spinsync.operators import joint_index, partial_trace, spin1_operators
 from spinsync.phasespace import HUSIMI_NORM, TIE_ATOL, max_s_rel_stack

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import BALANCED, FIG2
+from oracles import s_rel_first_order
 from spinsync import (
     QuadratureSpec,
     RegressionResult,
@@ -17,18 +18,16 @@ from spinsync import (
     evolve,
     linear_regression,
     max_s_rel,
+    first_order_stack,
     negativity,
-    run_steady_point,
     s_rel,
-    s_rel_first_order,
-    s_rel_peak_first_order,
     schmidt_analysis,
     write_dynamics_csv,
     write_sweep_csv,
 )
 from spinsync import liouvillian, sweep
 from spinsync.cli import main
-from spinsync.first_order import NO_STEADY_STATE, coherences
+from spinsync.first_order import NO_STEADY_STATE
 from spinsync.operators import SECTOR_ENTRIES
 from spinsync.sweep import DYNAMICS_CSV_HEADER, SWEEP_CSV_HEADER, evaluate_point
 
@@ -40,9 +39,9 @@ def read_rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
-class TestRunSteadyPoint:
+class TestSteadyPoint:
     def test_reference_point_record(self, fig2_params):
-        record = run_steady_point(fig2_params)
+        record = evaluate_point(fig2_params)[0]
         assert record.status == "ok"
         assert record.epsilon == 0.1 and record.delta == 0.0
         assert record.phi_at_max == 0.0
@@ -76,14 +75,13 @@ class TestRunSteadyPoint:
         assert math.isnan(record.s_rel_fo) and math.isnan(record.negativity_fo)
 
     def test_oracle_status_text(self):
-        # Both decay rates of lam_minus vanish on resonance: the status is
-        # the single-point oracle's exception text.
+        # Both decay rates of lam_minus vanish on resonance: the oracle is
+        # undefined, nan, and the status names it.
         params = SystemParams(gamma_g_a=0.0, gamma_d_b=0.0, epsilon=0.05)
-        with pytest.raises(ValueError) as raised:
-            coherences(params)
-        assert str(raised.value) == NO_STEADY_STATE
-        record = run_steady_point(params)
-        assert record.status.split("; ")[0] == f"oracle: {raised.value}"
+        oracle = first_order_stack([params])
+        assert not oracle.defined[0] and np.isnan(oracle.s_rel_peak[0])
+        record = evaluate_point(params)[0]
+        assert record.status.split("; ")[0] == f"oracle: {NO_STEADY_STATE}"
 
     def test_rank_threshold_straddling_draw(self):
         # A wide-range draw whose second and third Schmidt coefficients lie
@@ -119,7 +117,7 @@ class TestChunkIsolation:
 
     def test_refused_points_match_their_solo_records(self):
         records = sweep._run_points(self.POINTS, QuadratureSpec()).records()
-        solo = [run_steady_point(p) for p in self.POINTS]
+        solo = [evaluate_point(p)[0] for p in self.POINTS]
         assert all(same_record(a, b) for a, b in zip(records, solo))
         assert records[0].status.startswith("solve: steady state is not unique")
         assert records[1].status.startswith("oracle:")
@@ -132,7 +130,7 @@ class TestChunkIsolation:
         records = sweep._run_points([huge, FIG2], QuadratureSpec()).records()
         assert records[0].status.startswith("solve: generator has non-finite entries")
         assert records[0].schmidt_rank == 0 and math.isnan(records[0].residual)
-        assert same_record(records[1], run_steady_point(FIG2))
+        assert same_record(records[1], evaluate_point(FIG2)[0])
         config = tmp_path / "huge.json"
         config.write_text('{"delta": 1e308}')
         assert main(["steady", "--config", str(config)]) == 2
@@ -417,7 +415,7 @@ class TestDynamicsTrace:
         for params, rows in ((FIG2, fig2_dynamics),
                              (detuned, sweep.dynamics_trace(detuned, t_max=2.0, samples=5))):
             for row in rows:
-                want = s_rel_peak_first_order(params, row.t)
+                want = first_order_stack([params], row.t).s_rel_peak[0]
                 assert np.float64(row.s_rel_peak_oracle).tobytes() == np.float64(want).tobytes()
             assert rows[-1].s_rel_peak_oracle > 0.0
 
@@ -558,7 +556,7 @@ class TestCsvOutput:
 
     def test_status_text_cannot_break_the_layout(self, tmp_path):
         record = dataclasses.replace(
-            run_steady_point(FIG2), status="solve: a, b\nand more"
+            evaluate_point(FIG2)[0], status="solve: a, b\nand more"
         )
         path = tmp_path / "bad.csv"
         write_sweep_csv([record], path)
